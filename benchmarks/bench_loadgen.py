@@ -1,15 +1,14 @@
-"""Benchmark the serving transports under concurrent HTTP load.
+"""Benchmark the asyncio server under concurrent HTTP load.
 
-Drives both serving transports with :mod:`repro.serve.loadgen` and
-writes ``benchmarks/BENCH_loadgen.json`` with three measurements:
+Drives :class:`~repro.serve.aio_server.AsyncPerceptronServer` with
+:mod:`repro.serve.loadgen` and writes ``benchmarks/BENCH_loadgen.json``
+with three measurements:
 
 * ``saturation`` — closed-loop rows/s at 64 concurrent keep-alive
-  connections (4-row ``/predict`` requests), asyncio vs threaded.
-  The acceptance target for the asyncio transport is >= 5x the
-  threaded server's saturation rows/s;
-* ``open_loop``  — latency percentiles at a fixed offered rate on the
-  asyncio transport, measured from each request's *scheduled* time
-  (no coordinated omission);
+  connections (4-row ``/predict`` requests);
+* ``open_loop``  — latency percentiles at a fixed offered rate,
+  measured from each request's *scheduled* time (no coordinated
+  omission);
 * ``batch_sweep`` — the latency-vs-batch-size table: closed-loop runs
   at increasing rows-per-request, showing where per-request HTTP
   overhead stops dominating and the vectorised engine takes over.
@@ -33,7 +32,7 @@ from typing import Optional
 from repro.analysis import make_blobs
 from repro.core.training import PerceptronTrainer
 from repro.perf import benchmark, finish, host_fields
-from repro.serve import AsyncPerceptronServer, ModelStore, PerceptronServer
+from repro.serve import AsyncPerceptronServer, ModelStore
 from repro.serve.loadgen import run_closed_loop, run_open_loop
 
 OUT = Path(__file__).parent / "BENCH_loadgen.json"
@@ -56,9 +55,9 @@ def _export_model(tmp_root: Path):
 
 
 @benchmark("script.loadgen.saturation",
-           title="closed-loop /predict saturation: asyncio vs threaded",
-           kind="report", metric="speedup", unit="x",
-           lower_is_better=False, noise=0.8, tags=("script", "loadgen"))
+           title="closed-loop /predict saturation at 64 connections",
+           kind="report", metric="rows_per_s", unit="rows/s",
+           lower_is_better=False, noise=1.0, tags=("script", "loadgen"))
 def bench_saturation(tmp_root: Optional[Path] = None,
                      quick: bool = False) -> dict:
     if tmp_root is None:
@@ -69,27 +68,13 @@ def bench_saturation(tmp_root: Optional[Path] = None,
     store, X = _export_model(tmp_root)
     inputs = X[:ROWS_PER_REQUEST].tolist()
     with AsyncPerceptronServer(store, workers=0) as aio:
-        r_aio = run_closed_loop(aio.url, "loadgen", inputs,
-                                connections=connections,
-                                duration=duration)
-    with PerceptronServer(store) as threaded:
-        r_thr = run_closed_loop(threaded.url, "loadgen", inputs,
-                                connections=connections,
-                                duration=duration)
-    return {
-        "connections": connections,
-        "rows_per_request": ROWS_PER_REQUEST,
-        "aio": r_aio,
-        "threaded": r_thr,
-        "aio_rows_per_s": r_aio["rows_per_s"],
-        "threaded_rows_per_s": r_thr["rows_per_s"],
-        "speedup": round(r_aio["rows_per_s"]
-                         / max(r_thr["rows_per_s"], 1e-9), 2),
-    }
+        return run_closed_loop(aio.url, "loadgen", inputs,
+                               connections=connections,
+                               duration=duration)
 
 
 @benchmark("script.loadgen.open",
-           title="open-loop latency at a fixed offered rate (asyncio)",
+           title="open-loop latency at a fixed offered rate",
            kind="report", metric="p99_ms", unit="ms",
            lower_is_better=True, noise=1.0, tags=("script", "loadgen"))
 def bench_open_loop(tmp_root: Optional[Path] = None,
@@ -110,7 +95,7 @@ def bench_open_loop(tmp_root: Optional[Path] = None,
 
 
 @benchmark("script.loadgen.batch_sweep",
-           title="latency vs rows-per-request on the asyncio transport",
+           title="latency vs rows-per-request",
            kind="report", metric="best_rows_per_s", unit="rows/s",
            lower_is_better=False, noise=1.0, tags=("script", "loadgen"))
 def bench_batch_sweep(tmp_root: Optional[Path] = None,
@@ -142,10 +127,10 @@ def bench_batch_sweep(tmp_root: Optional[Path] = None,
 
 def main() -> None:
     payload = {
-        "description": "serving-transport load generation: closed-loop "
-                       f"saturation at {CONNECTIONS} connections "
-                       "(asyncio vs threaded), open-loop latency, and "
-                       "the rows-per-request sweep",
+        "description": "asyncio server load generation: closed-loop "
+                       f"saturation at {CONNECTIONS} connections, "
+                       "open-loop latency, and the rows-per-request "
+                       "sweep",
         **host_fields(),
         "benchmarks": [bench_saturation(), bench_open_loop(),
                        bench_batch_sweep()],

@@ -11,10 +11,10 @@ Four workloads:
 * the **dense/sparse crossover** — one big RC ladder (past
   ``SPARSE_MIN_SIZE`` unknowns at MNA-typical fill) integrated through
   both linear backends;
-* the north-star **spice-backed ``/predict`` margin round-trip** — a
-  full HTTP-payload-to-margins pass through
-  :meth:`~repro.serve.server.PerceptronServer.handle_predict` with
-  ``engine="spice"``.
+* the north-star **spice-backed ``/predict`` margin round-trip** — one
+  HTTP ``POST /predict`` with ``engine="spice"`` against
+  :class:`~repro.serve.aio_server.AsyncPerceptronServer`, served by its
+  engine worker pool.
 
 All four are registered with :mod:`repro.perf` (``script.sparse.*``,
 report kind) for history tracking via ``repro perf run --bench-dir
@@ -175,22 +175,32 @@ def bench_sparse_crossover(quick: bool = False) -> dict:
            lower_is_better=True, noise=1.0, tags=("script", "sparse"))
 def bench_predict_round_trip(quick: bool = False) -> dict:
     """North star: spice-backed served margins, payload to response."""
+    import json
     import tempfile
+    import urllib.request
 
     from repro.core.perceptron import DifferentialPwmPerceptron
+    from repro.serve.aio_server import AsyncPerceptronServer
     from repro.serve.artifacts import ModelStore
-    from repro.serve.server import PerceptronServer
 
     repeats = 1 if quick else REPEATS
     payload = {"model": "m", "inputs": [[0.9, 0.9]], "engine": "spice"}
+
+    def post(server, body):
+        request = urllib.request.Request(
+            server.url + "/predict", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=300) as response:
+            return json.loads(response.read())
+
     with tempfile.TemporaryDirectory() as tmp:
         store = ModelStore(tmp)
         store.save("m", DifferentialPwmPerceptron([3, 3], bias=-3))
-        with PerceptronServer(store, port=0) as server:
-            behavioral = server.handle_predict(
-                {**payload, "engine": "behavioral"})
+        with AsyncPerceptronServer(store, port=0, workers=1) as server:
+            behavioral = post(server, {**payload, "engine": "behavioral"})
+            # The warm-up starts the worker process outside the timing.
             t_spice, spice = best_of_with_result(
-                lambda: server.handle_predict(payload), repeats)
+                lambda: post(server, payload), repeats, warmup=1)
     return {
         "workload": "POST /predict, one row, engine=spice",
         "round_trip_seconds": round(t_spice, 4),

@@ -76,14 +76,13 @@ Serving commands
     ``./models``).
 ``predict <name> --input d1,d2,... [--input ...] [--vdd V]``
     Load a stored model and classify duty-cycle rows.
-``serve [--transport aio|thread] [--workers N] [--host H] [--port P]
-[--max-batch N] [--max-latency-ms MS]``
+``serve [--workers N] [--host H] [--port P] [--max-batch N]
+[--max-latency-ms MS]``
     Start the micro-batching JSON API (``/predict``, ``/models``,
     ``/experiments``, ``/campaigns``, ``/healthz``, ``/metrics``) over
-    the model store.  The default ``aio`` transport keeps connections
-    alive, coalesces rows across connections and shards slow-engine
-    requests over ``--workers`` processes; ``--transport thread`` is
-    the legacy thread-per-connection server.  ``--campaign-dir`` names
+    the model store.  The asyncio server keeps connections alive,
+    coalesces rows across connections and shards slow-engine requests
+    over ``--workers`` processes.  ``--campaign-dir`` names
     the served campaign specs (default ``$REPRO_CAMPAIGN_DIR`` or
     ``./campaigns``).
 """
@@ -796,24 +795,15 @@ def _cmd_predict(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve.artifacts import ModelStore
 
+    from .serve.aio_server import AsyncPerceptronServer
+
     store = ModelStore(args.store)
-    if args.transport == "thread":
-        from .serve.server import PerceptronServer
-
-        server = PerceptronServer(store, host=args.host, port=args.port,
-                                  max_batch=args.max_batch,
-                                  max_latency=args.max_latency_ms / 1e3,
-                                  campaign_dir=args.campaign_dir)
-    else:
-        from .serve.aio_server import AsyncPerceptronServer
-
-        server = AsyncPerceptronServer(
-            store, host=args.host, port=args.port,
-            max_batch=args.max_batch,
-            max_latency=args.max_latency_ms / 1e3,
-            campaign_dir=args.campaign_dir, workers=args.workers)
+    server = AsyncPerceptronServer(
+        store, host=args.host, port=args.port, max_batch=args.max_batch,
+        max_latency=args.max_latency_ms / 1e3,
+        campaign_dir=args.campaign_dir, workers=args.workers)
     known = ", ".join(m["name"] for m in store.list()) or "(store empty)"
-    print(f"serving {server.url} [{args.transport}] — models: {known}",
+    print(f"serving {server.url} — models: {known}",
           file=sys.stderr)
     print("endpoints: POST /predict, POST /experiments/<id>/run, "
           "POST /campaigns/<name>/run, GET /models /experiments "
@@ -1220,16 +1210,10 @@ def main(argv: "list[str] | None" = None) -> int:
                          help="flush a batch at this many rows")
     serve_p.add_argument("--max-latency-ms", type=float, default=5.0,
                          help="flush the oldest request after this wait")
-    serve_p.add_argument("--transport", choices=("aio", "thread"),
-                         default="aio",
-                         help="serving transport: 'aio' (asyncio, "
-                              "keep-alive + cross-connection batching, "
-                              "the default) or 'thread' (the legacy "
-                              "thread-per-connection server)")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="worker processes for slow-engine "
-                              "(rc/spice) /predict requests on the aio "
-                              "transport; 0 keeps them in-process")
+                              "(rc/spice) /predict requests; 0 keeps "
+                              "them in-process")
     serve_p.add_argument("--campaign-dir", type=Path, default=None,
                          help="directory of campaign spec JSONs served "
                               "as /campaigns (default $REPRO_CAMPAIGN_DIR "

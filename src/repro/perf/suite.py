@@ -5,7 +5,7 @@ under a second per repeat with ``--quick`` on a single-core CI runner)
 and tagged ``gate`` so ``repro perf gate`` exercises the whole stack
 by default: circuit (shooting PSS + dense MNA transient), exec
 (vectorised Monte-Carlo), serving (batched inference plus closed-loop
-HTTP load generation against the asyncio transport), and the SQLite
+HTTP load generation against the asyncio server), and the SQLite
 store (indexed axis query).  Workload factories do all setup outside
 the timed region; the returned callables traverse the instrumented
 spans (``adder.evaluate`` → ``pss.shooting`` → ``mna.transient`` →
@@ -190,7 +190,7 @@ def _loadgen_model(tmp_root: str):
            kind="report", metric="rows_per_s", unit="rows/s",
            lower_is_better=False, tags=("gate", "serve"), noise=1.0,
            description="Closed-loop load generation against the "
-                       "asyncio transport: keep-alive connections "
+                       "asyncio server: keep-alive connections "
                        "sending 4-row /predict requests back-to-back; "
                        "tracks the serving plane's saturation rows/s.")
 def _serve_loadgen_aio(quick: bool = False):
@@ -207,41 +207,6 @@ def _serve_loadgen_aio(quick: bool = False):
                                      connections=connections,
                                      duration=duration)
     return report
-
-
-@benchmark("serve.loadgen.speedup",
-           title="asyncio vs threaded transport saturation ratio",
-           kind="report", metric="speedup", unit="x",
-           lower_is_better=False, tags=("gate", "serve"), noise=0.8,
-           description="Closed-loop saturation rows/s of the asyncio "
-                       "transport over the threaded one, same model "
-                       "and load — the dimensionless guard on the "
-                       "serving-plane rewrite (acceptance: >= 5x at "
-                       "full load).")
-def _serve_loadgen_speedup(quick: bool = False):
-    from ..serve import AsyncPerceptronServer, PerceptronServer
-    from ..serve.loadgen import run_closed_loop
-
-    connections = 16 if quick else 64
-    duration = 0.5 if quick else 2.0
-    with tempfile.TemporaryDirectory(
-            prefix="repro-perf-loadgen-") as tmp:
-        store, inputs = _loadgen_model(tmp)
-        with AsyncPerceptronServer(store, workers=0) as aio:
-            r_aio = run_closed_loop(aio.url, "loadgen", inputs,
-                                    connections=connections,
-                                    duration=duration)
-        with PerceptronServer(store) as threaded:
-            r_thr = run_closed_loop(threaded.url, "loadgen", inputs,
-                                    connections=connections,
-                                    duration=duration)
-    return {"connections": connections,
-            "aio_rows_per_s": r_aio["rows_per_s"],
-            "threaded_rows_per_s": r_thr["rows_per_s"],
-            "aio_latency_ms": r_aio["latency_ms"],
-            "threaded_latency_ms": r_thr["latency_ms"],
-            "speedup": round(r_aio["rows_per_s"]
-                             / max(r_thr["rows_per_s"], 1e-9), 2)}
 
 
 @benchmark("store.indexed_query",

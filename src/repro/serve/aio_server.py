@@ -1,15 +1,15 @@
-"""Asyncio serving transport: keep-alive, cross-connection batching.
+"""Asyncio HTTP server: keep-alive, cross-connection batching.
 
-Same JSON API and **byte-identical response bodies** as the threaded
-:class:`~repro.serve.server.PerceptronServer` (both build on
-:class:`~repro.serve.server.ServingCore`), different machinery:
+Serves the JSON API of :class:`~repro.serve.server.ServingCore`:
 
 * **persistent connections** — HTTP/1.1 keep-alive with sequential
-  pipelining per connection; the threaded transport pays a thread per
-  connection, this one pays a task;
+  pipelining per connection; each connection costs a task, not a
+  thread;
 * **incremental parsing** — requests are assembled from the stream as
   bytes arrive (headers at the blank line, body by ``Content-Length``),
-  so a slow client never holds a thread hostage;
+  so a slow client never holds a thread hostage.  A body is bounded in
+  size (:data:`MAX_BODY_BYTES`, else 413) and in arrival time
+  (:data:`BODY_READ_TIMEOUT`, else 408);
 * **cross-connection micro-batching** — each model's
   :class:`~repro.serve.scheduler.AsyncMicroBatcher` lives on the event
   loop, so concurrent ``/predict`` rows from *different* connections
@@ -31,9 +31,6 @@ Same JSON API and **byte-identical response bodies** as the threaded
 
 Experiment and campaign runs execute on the default thread executor —
 they are minutes-long CPU work that must not stall the predict path.
-
-``repro serve`` uses this transport by default; ``--transport thread``
-keeps the old one.
 """
 
 from __future__ import annotations
@@ -45,13 +42,12 @@ import threading
 import time
 from functools import partial
 from http.client import responses as _http_reasons
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..circuit.exceptions import AnalysisError
 from .artifacts import ModelStore
 from .pool import EngineWorkerPool
-from .scheduler import AsyncMicroBatcher
 from .server import (
     ServingCore,
     encode_json,
@@ -63,6 +59,15 @@ from .server import (
 #: the pool/connection gauges.  Also the lag floor: a stall shorter
 #: than one interval may be missed; anything longer is measured.
 HEARTBEAT_INTERVAL = 0.25
+
+#: Largest request body accepted; a larger declared ``Content-Length``
+#: is answered 413 without reading the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a declared body may take to arrive before the request is
+#: answered 408 (idle keep-alive connections between requests are not
+#: timed).
+BODY_READ_TIMEOUT = 10.0
 
 
 def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
@@ -87,6 +92,55 @@ def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
     return method, target, version, headers
 
 
+class _Rejected(Exception):
+    """A request refused before dispatch; the connection then closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[
+        Tuple[str, str, str, Dict[str, str], bytes]]:
+    """The next request on a connection as ``(method, target, version,
+    headers, body)``, or None when the client closed between requests.
+
+    Raises :class:`_Rejected` for a request that cannot be read: a
+    malformed or oversized head, chunked bodies, a ``Content-Length``
+    that is not a non-negative integer or exceeds
+    :data:`MAX_BODY_BYTES`, or a body that stalls past
+    :data:`BODY_READ_TIMEOUT`.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    except asyncio.LimitOverrunError:
+        raise _Rejected(400, "request head too large") from None
+    try:
+        method, target, version, headers = _parse_head(head)
+    except ValueError as exc:
+        raise _Rejected(400, str(exc)) from None
+    if "transfer-encoding" in headers:
+        raise _Rejected(501, "chunked transfer encoding is not supported")
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _Rejected(400, f"invalid Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise _Rejected(413, f"request body of {length} bytes exceeds "
+                             f"the {MAX_BODY_BYTES}-byte limit")
+    body = b""
+    if length:
+        try:
+            async with asyncio.timeout(BODY_READ_TIMEOUT):
+                body = await reader.readexactly(length)
+        except TimeoutError:
+            raise _Rejected(408, "request body not received within "
+                                 f"{BODY_READ_TIMEOUT:g} s") from None
+    return method, target, version, headers, body
+
+
 def _response_head(status: int, content_type: str, length: int, *,
                    keep_alive: bool) -> bytes:
     reason = _http_reasons.get(status, "Unknown")
@@ -98,7 +152,7 @@ def _response_head(status: int, content_type: str, length: int, *,
 
 
 def _wants_prometheus(target: str, headers: Dict[str, str]) -> bool:
-    """Same content negotiation as the threaded transport."""
+    """``/metrics`` as Prometheus text rather than JSON?"""
     query = target.partition("?")[2]
     if "format=prometheus" in query:
         return True
@@ -109,8 +163,7 @@ def _wants_prometheus(target: str, headers: Dict[str, str]) -> bool:
 
 
 def _parse_body_json(body: bytes, *, required: bool) -> Any:
-    """Request body as JSON — error messages match the threaded
-    transport's ``_read_json`` byte for byte."""
+    """Request body as JSON; ``{}`` when absent and optional."""
     if not body:
         if required:
             raise AnalysisError("empty request body")
@@ -122,7 +175,7 @@ def _parse_body_json(body: bytes, *, required: bool) -> Any:
 
 
 class AsyncPerceptronServer(ServingCore):
-    """The asyncio serving transport over a :class:`ModelStore`.
+    """The asyncio HTTP server over a :class:`ModelStore`.
 
     Use as a context manager / :meth:`start` (hosts the event loop on a
     background thread — tests, examples) or :meth:`run` (owns the
@@ -164,12 +217,6 @@ class AsyncPerceptronServer(ServingCore):
         self._open_connections = 0
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._writers: "set[asyncio.StreamWriter]" = set()
-
-    # -- transport-specific core hooks -------------------------------------
-
-    def _batcher_factory(self, handler: Callable) -> AsyncMicroBatcher:
-        return AsyncMicroBatcher(handler, max_batch=self.max_batch,
-                                 max_latency=self.max_latency)
 
     async def handle_predict_async(self,
                                    payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -333,32 +380,16 @@ class AsyncPerceptronServer(ServingCore):
         try:
             while True:
                 try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, ConnectionError):
+                    request = await _read_request(reader)
+                except _Rejected as exc:
+                    await self._write_response(
+                        writer, exc.status,
+                        encode_json({"error": str(exc)}),
+                        keep_alive=False)
+                    break
+                if request is None:
                     break          # client went away between requests
-                except asyncio.LimitOverrunError:
-                    await self._write_response(
-                        writer, 400,
-                        encode_json({"error": "request head too large"}),
-                        keep_alive=False)
-                    break
-                try:
-                    method, target, version, headers = _parse_head(head)
-                except ValueError as exc:
-                    await self._write_response(
-                        writer, 400, encode_json({"error": str(exc)}),
-                        keep_alive=False)
-                    break
-                if "transfer-encoding" in headers:
-                    await self._write_response(
-                        writer, 501, encode_json({
-                            "error": "chunked transfer encoding is "
-                                     "not supported"}),
-                        keep_alive=False)
-                    break
-                length = int(headers.get("content-length") or 0)
-                body = (await reader.readexactly(length)
-                        if length > 0 else b"")
+                method, target, version, headers, body = request
                 keep_alive = (version == "HTTP/1.1" and "close" not in
                               headers.get("connection", "").lower())
                 status, out, content_type = await self._dispatch(
@@ -398,8 +429,7 @@ class AsyncPerceptronServer(ServingCore):
 
     async def _observed(self, endpoint: str, handler,
                         error_extra=None) -> Tuple[int, Dict[str, Any]]:
-        """Async twin of the threaded transport's ``_observed``: run
-        one handler coroutine, map exceptions through the shared
+        """Run one handler coroutine, map exceptions through
         :func:`error_response`, record metrics."""
         t0 = time.perf_counter()
         status, payload, rows = 500, {"error": "internal error"}, 0
@@ -426,9 +456,8 @@ class AsyncPerceptronServer(ServingCore):
                         ) -> Tuple[int, bytes, str]:
         """Route one request; returns ``(status, body, content_type)``.
 
-        Routing, endpoint labels and error bodies mirror the threaded
-        transport's handler exactly — byte-identical responses are a
-        pinned contract (``tests/test_aio_serving.py``).
+        Response bytes are a pinned contract
+        (``tests/golden/serving_bytes.json``).
         """
         t0_wall, t0 = time.time(), time.perf_counter()
         path = target.split("?", 1)[0].rstrip("/") or "/"

@@ -1,7 +1,7 @@
 """Closed- and open-loop HTTP load generation for the serving plane.
 
 Answers the question the serving benchmarks and the perf gate keep
-asking: *how many rows per second does a transport actually sustain,
+asking: *how many rows per second does the server actually sustain,
 and at what latency?*  Two canonical modes:
 
 **closed loop** (:func:`run_closed_loop`)
@@ -20,12 +20,11 @@ and at what latency?*  Two canonical modes:
 
 The generator is a single-threaded asyncio client speaking minimal
 HTTP/1.1 over persistent connections — no per-request socket setup, no
-client-side thread pool fighting the server for the GIL — and works
-against both serving transports.  Reports carry rows/s, request rate,
-mean/p50/p95/p99/max latency, an error count, and (when the server
-exposes it) the per-model batch-fill delta scraped from ``/metrics``,
-so a run shows *how well the micro-batcher coalesced* next to how fast
-it went.
+client-side thread pool fighting the server for the GIL.  Reports
+carry rows/s, request rate, mean/p50/p95/p99/max latency, an error
+count, and (when the server exposes it) the per-model batch-fill delta
+scraped from ``/metrics``, so a run shows *how well the micro-batcher
+coalesced* next to how fast it went.
 
 ``benchmarks/bench_loadgen.py`` and the ``serve.loadgen.*`` perf-gate
 benchmarks are thin wrappers over this module.

@@ -1,4 +1,4 @@
-"""Stdlib HTTP serving front end for stored models and experiments.
+"""Transport-independent core of the model and experiment HTTP API.
 
 JSON API (content type ``application/json`` throughout):
 
@@ -55,22 +55,17 @@ JSON API (content type ``application/json`` throughout):
     memo as single experiment runs; paper-fidelity or oversized
     campaigns are redirected to the sharded CLI.
 
-Each loaded model owns one micro-batcher, so predictions from
+Each loaded model owns one
+:class:`~repro.serve.scheduler.AsyncMicroBatcher`, so predictions from
 concurrent requests against the same model coalesce into single
 :class:`~repro.serve.engine.BatchInferenceEngine` calls.
 
-Two transports speak this API.  :class:`ServingCore` (this module)
-holds everything transport-independent — model loading, request
+:class:`ServingCore` (this module) holds model loading, request
 validation, the prediction/error response shapes, experiment/campaign
-handling, metrics — so both produce **byte-identical** response bodies
-for the same requests.  :class:`PerceptronServer` is the original
-``ThreadingHTTPServer`` transport (one thread per connection, blocking
-:class:`~repro.serve.scheduler.MicroBatcher` futures);
-:class:`~repro.serve.aio_server.AsyncPerceptronServer` is the asyncio
-transport (keep-alive event loop, cross-connection
-:class:`~repro.serve.scheduler.AsyncMicroBatcher` coalescing, slow
-engines sharded over a worker-process pool).  ``repro serve`` defaults
-to asyncio; ``--transport thread`` keeps this one.
+handling and metrics; the asyncio transport
+(:class:`~repro.serve.aio_server.AsyncPerceptronServer`) adds the
+connections, the event loop and the slow-engine worker pool.  The
+response bytes are pinned by ``tests/golden/serving_bytes.json``.
 """
 
 from __future__ import annotations
@@ -80,8 +75,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -95,7 +89,7 @@ from .engine import (
     model_decision_offset,
     model_n_features,
 )
-from .scheduler import MicroBatcher
+from .scheduler import AsyncMicroBatcher
 
 
 class NotFoundError(AnalysisError):
@@ -179,8 +173,8 @@ class ServingMetrics:
 
 
 def encode_json(payload: Dict[str, Any]) -> bytes:
-    """One JSON encoding for every transport — byte-identical bodies
-    between the threaded and asyncio servers are a pinned contract."""
+    """The one JSON encoding of every response body (the bytes are a
+    pinned contract)."""
     return json.dumps(payload).encode("utf-8")
 
 
@@ -201,8 +195,7 @@ def predict_error_fields(payload: Any) -> Dict[str, Any]:
 
 
 def error_response(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
-    """Map a handler exception to ``(status, body)`` — shared by both
-    transports so error bodies are byte-identical too."""
+    """Map a handler exception to ``(status, body)``."""
     if isinstance(exc, NotFoundError):
         return 404, {"error": str(exc)}
     if isinstance(exc, AnalysisError):
@@ -227,13 +220,12 @@ class PredictRequest(NamedTuple):
 class _LoadedModel:
     """A stored model plus its private micro-batcher.
 
-    ``batcher_factory`` receives the model's flush handler and returns
-    the transport's scheduler (threaded :class:`MicroBatcher` or the
-    asyncio one); both expose ``stats`` and a synchronous ``stop()``.
+    Built on the serving event loop: the :class:`AsyncMicroBatcher`
+    schedules its flush timers there.
     """
 
     def __init__(self, name: str, model, engine: BatchInferenceEngine, *,
-                 batcher_factory: Callable,
+                 max_batch: int, max_latency: float,
                  artifact_hash: Optional[str] = None,
                  artifact_stat: Optional[Tuple[int, int]] = None,
                  doc: Optional[Dict[str, Any]] = None):
@@ -257,16 +249,15 @@ class _LoadedModel:
                 supply = np.where(np.isnan(vdds), nominal, vdds)
             return engine.model_margins(model, features, vdd=supply)
 
-        self.batcher = batcher_factory(handler)
+        self.batcher = AsyncMicroBatcher(handler, max_batch=max_batch,
+                                         max_latency=max_latency)
 
 
 class ServingCore:
     """Everything the serving API does that is not transport.
 
-    Both HTTP front ends (threaded :class:`PerceptronServer`, asyncio
-    :class:`~repro.serve.aio_server.AsyncPerceptronServer`) subclass
-    this; the request-validation and response-shaping paths are shared
-    so the two transports answer byte-identically.
+    :class:`~repro.serve.aio_server.AsyncPerceptronServer` subclasses
+    this with the connections and the event loop.
     """
 
     #: Most-recently-used experiment runs memoised per process.
@@ -302,11 +293,6 @@ class ServingCore:
 
     # -- model access -----------------------------------------------------
 
-    def _batcher_factory(self, handler: Callable):
-        """The transport's scheduler for one loaded model."""
-        return MicroBatcher(handler, max_batch=self.max_batch,
-                            max_latency=self.max_latency).start()
-
     def get_model(self, name: str) -> _LoadedModel:
         """Cached model + batcher, reloaded when the artifact changes.
 
@@ -335,7 +321,8 @@ class ServingCore:
                 loaded.batcher.stop()  # drains pending futures
             loaded = _LoadedModel(name, deserialize_model(doc),
                                   self.engine,
-                                  batcher_factory=self._batcher_factory,
+                                  max_batch=self.max_batch,
+                                  max_latency=self.max_latency,
                                   artifact_hash=doc.get("hash"),
                                   artifact_stat=stat, doc=doc)
             self._models[name] = loaded
@@ -407,22 +394,6 @@ class ServingCore:
             "solver": request.solver,
         }
 
-    def handle_predict(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one ``/predict`` payload synchronously (the threaded
-        transport and direct Python callers)."""
-        request = self.parse_predict(payload)
-        if request.engine == "behavioral":
-            margins = request.loaded.batcher.submit(
-                request.X, vdd=request.vdd).result(timeout=30)
-        else:
-            # Non-default fidelities skip the micro-batcher: they are
-            # per-row solves whose latency would stall the behavioural
-            # hot path's batches.  The registry validates the id.
-            margins = self.engine.model_margins(
-                request.loaded.model, request.X, vdd=request.vdd,
-                engine=request.engine, solver=request.solver)
-        return self.predict_response(request, margins)
-
     def batcher_metrics(self) -> Dict[str, Any]:
         with self._models_lock:
             return {name: loaded.batcher.stats.snapshot()
@@ -442,7 +413,7 @@ class ServingCore:
         reg = self.metrics.registry
         gauges = {
             key: reg.gauge(f"repro_batcher_{key}",
-                           f"MicroBatcher {key}, per model.",
+                           f"Micro-batcher {key}, per model.",
                            labelnames=("model",))
             for key in ("batches", "rows", "mean_batch_rows",
                         "max_batch_rows", "mean_queue_wait_ms",
@@ -648,237 +619,3 @@ class ServingCore:
         document = results_document(spec, collected)
         document["table"] = results_table(spec, collected).render()
         return document
-
-
-class PerceptronServer(ServingCore):
-    """Micro-batching model server over a :class:`ModelStore` — the
-    threaded (``ThreadingHTTPServer``) transport.
-
-    Use as a context manager (tests, examples) or via :meth:`run`
-    (CLI).  ``port=0`` binds an ephemeral free port; read it back from
-    :attr:`port` after construction.
-    """
-
-    def __init__(self, store: ModelStore, *, host: str = "127.0.0.1",
-                 port: int = 0, max_batch: int = 64,
-                 max_latency: float = 0.005,
-                 campaign_dir: "str | None" = None):
-        super().__init__(store, max_batch=max_batch,
-                         max_latency=max_latency,
-                         campaign_dir=campaign_dir)
-        handler = _make_handler(self)
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
-        self.host, self.port = self.httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # -- lifecycle --------------------------------------------------------
-
-    def start(self) -> "PerceptronServer":
-        """Serve from a background thread (for tests/examples)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever, daemon=True,
-                name="repro-serve")
-            self._thread.start()
-        return self
-
-    def run(self) -> None:
-        """Serve from the calling thread until interrupted (CLI)."""
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        # Drain (the scheduler default) so in-flight request threads
-        # get their futures resolved instead of timing out.
-        self.close_models()
-
-    def __enter__(self) -> "PerceptronServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _make_handler(server: "PerceptronServer"):
-    """Bind a BaseHTTPRequestHandler subclass to one server instance."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        # -- plumbing ------------------------------------------------------
-
-        def log_message(self, fmt, *args):  # quiet by default
-            pass
-
-        def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-            body = encode_json(payload)
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _reply_text(self, status: int, text: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _metrics_prometheus(self) -> None:
-            t0 = time.perf_counter()
-            status, text = 200, ""
-            try:
-                text = server.prometheus_metrics()
-            except Exception as exc:  # pragma: no cover - defensive
-                status = 500
-                text = f"# scrape failed: {type(exc).__name__}: {exc}\n"
-            finally:
-                # Recorded after rendering: this scrape shows up in the
-                # next one, exactly like the JSON snapshot path.
-                server.metrics.observe(
-                    "/metrics", time.perf_counter() - t0,
-                    error=status >= 400)
-                self._reply_text(status, text)
-
-        def _wants_prometheus(self) -> bool:
-            """Content negotiation for ``/metrics``: Prometheus asks
-            with ``Accept: text/plain`` (or OpenMetrics); humans and
-            tests can force it with ``?format=prometheus``."""
-            query = self.path.partition("?")[2]
-            if "format=prometheus" in query:
-                return True
-            if "format=json" in query:
-                return False
-            accept = self.headers.get("Accept", "")
-            return ("text/plain" in accept
-                    or "openmetrics" in accept)
-
-        def _observed(self, endpoint: str, fn, error_extra=None) -> None:
-            t0 = time.perf_counter()
-            status, payload, rows = 500, {"error": "internal error"}, 0
-            try:
-                status, payload, rows = fn()
-            except Exception as exc:
-                status, payload = error_response(exc)
-                if error_extra is not None:
-                    # /predict errors carry the requested model/engine
-                    # (the pinned error-shape contract).
-                    payload = {**payload, **error_extra()}
-            finally:
-                server.metrics.observe(
-                    endpoint, time.perf_counter() - t0, rows=rows,
-                    error=status >= 400)
-                self._reply(status, payload)
-
-        # -- endpoints -----------------------------------------------------
-
-        def do_GET(self) -> None:
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/healthz" or path == "/":
-                # Liveness must stay O(1): no store scan per probe.
-                self._observed("/healthz", lambda: (
-                    200, {"status": "ok",
-                          "models_loaded": len(server._models)}, 0))
-            elif path == "/models":
-                self._observed("/models", lambda: (
-                    200, {"models": server.store.list()}, 0))
-            elif path == "/experiments":
-                self._observed("/experiments", lambda: (
-                    200, server.describe_experiments(), 0))
-            elif path == "/engines":
-                self._observed("/engines", lambda: (
-                    200, server.describe_engines(), 0))
-            elif path == "/campaigns":
-                self._observed("/campaigns", lambda: (
-                    200, server.list_campaigns(), 0))
-            elif path.startswith("/experiments/"):
-                experiment_id = path[len("/experiments/"):]
-                self._observed("/experiments", lambda: (
-                    200, server.describe_experiment(experiment_id), 0))
-            elif path == "/metrics":
-                if self._wants_prometheus():
-                    self._metrics_prometheus()
-                    return
-
-                def metrics() -> Tuple[int, Dict[str, Any], int]:
-                    payload = server.metrics.snapshot()
-                    payload["batchers"] = server.batcher_metrics()
-                    return 200, payload, 0
-                self._observed("/metrics", metrics)
-            else:
-                # One shared metrics label for unknown paths: the raw
-                # client-supplied path would give unbounded cardinality.
-                self._observed("unknown", lambda: (
-                    404, {"error": f"unknown endpoint {self.path}"}, 0))
-
-        def _read_json(self, *, required: bool) -> Any:
-            """Request body as JSON; ``{}`` when absent and optional."""
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
-                if required:
-                    raise AnalysisError("empty request body")
-                return {}
-            raw = self.rfile.read(length)
-            try:
-                return json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise AnalysisError(
-                    f"request body is not JSON: {exc}") from exc
-
-        def do_POST(self) -> None:
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path == "/predict":
-                raw: Dict[str, Any] = {"payload": None}
-
-                def predict() -> Tuple[int, Dict[str, Any], int]:
-                    raw["payload"] = self._read_json(required=True)
-                    result = server.handle_predict(raw["payload"])
-                    return 200, result, result["count"]
-
-                self._observed(
-                    "/predict", predict,
-                    error_extra=lambda: predict_error_fields(
-                        raw["payload"]))
-            elif path.startswith("/experiments/") and path.endswith("/run"):
-                experiment_id = path[len("/experiments/"):-len("/run")]
-
-                def run_exp() -> Tuple[int, Dict[str, Any], int]:
-                    payload = self._read_json(required=False)
-                    result = server.handle_run_experiment(experiment_id,
-                                                          payload)
-                    return 200, result, 0
-
-                # One shared label for all experiment runs: bounded
-                # metric cardinality, as for unknown paths.
-                self._observed("/experiments/run", run_exp)
-            elif path.startswith("/campaigns/") and path.endswith("/run"):
-                name = path[len("/campaigns/"):-len("/run")]
-
-                def run_campaign() -> Tuple[int, Dict[str, Any], int]:
-                    payload = self._read_json(required=False)
-                    result = server.handle_run_campaign(name, payload)
-                    return 200, result, 0
-
-                self._observed("/campaigns/run", run_campaign)
-            else:
-                self._observed("unknown", lambda: (
-                    404, {"error": f"unknown endpoint {self.path}"}, 0))
-
-    return Handler

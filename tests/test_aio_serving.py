@@ -1,20 +1,24 @@
-"""The asyncio serving plane: scheduler, transport, pool, loadgen.
+"""The asyncio serving plane: scheduler, server, pool, loadgen.
 
-Pins the guarantees the transport rewrite rests on:
+Pins the guarantees the serving plane rests on:
 
 * the :class:`AsyncMicroBatcher` delivers exactly the handler's
   answers under coalescing, deadline flushes, oversized-request
   splitting, and shutdown with in-flight futures;
-* the asyncio transport answers **byte-identically** to the threaded
-  one — success and error bodies alike — so clients cannot tell the
-  transports apart (the upgrade-safety contract);
+* the server's ``/predict`` success and error bytes and its GET bytes
+  equal ``tests/golden/serving_bytes.json``, captured when a second,
+  thread-per-connection server still answered every one of those
+  requests byte-identically (the wire contract clients rely on);
 * ``/predict`` error bodies always carry ``error``/``model``/
-  ``engine`` in that order, on both transports;
+  ``engine`` in that order;
+* request framing fails loudly: a bad, oversized or stalled body is
+  answered with a JSON 400/413/408 and a closed connection, never a
+  hang or a silent drop;
 * schema-v3 artifacts round-trip custom cell designs and older
   documents migrate (v2 → v3, v1 → v3);
 * the worker pool dispatches by artifact document with per-process
   caching, and the new gauges show up in the Prometheus exposition;
-* the load generator measures both transports without erroring.
+* the load generator measures the server without erroring.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ import asyncio
 import dataclasses
 import http.client
 import json
+import socket
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.datasets import make_blobs
 from repro.circuit import AnalysisError
@@ -41,10 +48,10 @@ from repro.serve import (
     BatchInferenceEngine,
     EngineWorkerPool,
     ModelStore,
-    PerceptronServer,
     deserialize_model,
     serialize_model,
 )
+from repro.serve import aio_server
 from repro.serve.artifacts import artifact_hash, upgrade_artifact
 from repro.serve.loadgen import run_closed_loop, run_open_loop
 from repro.serve.pool import _pool_margins
@@ -204,120 +211,121 @@ class TestAsyncMicroBatcher:
         asyncio.run(scenario())
 
 
-# -- the asyncio transport --------------------------------------------------
+# -- the asyncio server -----------------------------------------------------
+
+GOLDEN_BYTES = Path(__file__).parent / "golden" / "serving_bytes.json"
 
 
 @pytest.fixture(scope="class")
 def dual_stack(request, tmp_path_factory):
-    """One store, one model, both transports serving it."""
+    """One store, one model, the asyncio server serving it."""
     data = make_blobs(n_per_class=20, n_features=2, separation=0.35,
                       spread=0.09, seed=7)
     model = PerceptronTrainer(2, seed=7).fit(data.X, data.y,
                                              epochs=40).perceptron
     store = ModelStore(tmp_path_factory.mktemp("models"))
     store.save("demo", model)
-    threaded = PerceptronServer(store, port=0, max_batch=16,
-                                max_latency=0.002).start()
     aio = AsyncPerceptronServer(store, port=0, max_batch=16,
                                 max_latency=0.002, workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.store = store
-    request.cls.threaded = threaded
     request.cls.aio = aio
     yield
     aio.close()
-    threaded.close()
 
 
-@pytest.mark.usefixtures("dual_stack")
+@pytest.fixture()
+def golden_server(tmp_path):
+    """A fresh server over the fixture's committed ``demo`` artifact,
+    plus the fixture with the store path filled in."""
+    golden = json.loads(GOLDEN_BYTES.read_text())
+    (tmp_path / "demo.json").write_text(json.dumps(golden["artifact"]))
+    root = json.dumps(str(tmp_path))[1:-1]     # as it appears in JSON
+    for case in (golden["predict_success"] + golden["predict_errors"]
+                 + golden["get"]):
+        case["body"] = case["body"].replace(golden["store_root_token"],
+                                            root).encode()
+    server = AsyncPerceptronServer(ModelStore(tmp_path), port=0,
+                                   max_batch=16, max_latency=0.002,
+                                   workers=0).start()
+    yield server, golden
+    server.close()
+
+
 class TestTransportByteIdentity:
-    """Clients must not be able to tell the transports apart."""
+    """The wire bytes equal the fixture both transports agreed on.
 
-    def _both(self, method, path, body=None):
-        s1, b1 = _raw(self.threaded.host, self.threaded.port, method,
-                      path, body)
-        s2, b2 = _raw(self.aio.host, self.aio.port, method, path, body)
-        return (s1, b1), (s2, b2)
+    The fixture was captured with the threaded and the asyncio server
+    answering each request identically; any change to it is a change
+    to what clients receive and must be deliberate.
+    """
 
-    def test_predict_success_bodies_identical(self):
-        for payload in (
-                {"model": "demo", "inputs": self.data.X[:5].tolist()},
-                {"model": "demo", "inputs": [0.2, 0.8], "vdd": 1.2},
-                {"model": "demo", "inputs": self.data.X.tolist(),
-                 "vdd": 2.0}):
-            body = json.dumps(payload).encode()
-            threaded, aio = self._both("POST", "/predict", body)
-            assert threaded == aio
-            assert threaded[0] == 200
+    @staticmethod
+    def _check(server, method, cases):
+        for case in cases:
+            if method == "GET":
+                path, body = case["path"], None
+            else:
+                path, body = "/predict", case["request"].encode()
+            assert _raw(server.host, server.port, method, path, body) \
+                == (case["status"], case["body"]), (path, body)
 
-    def test_predict_error_bodies_identical(self):
-        cases = [
-            json.dumps(p).encode() for p in (
-                {"model": "nope", "inputs": [[0.1, 0.2]]},
-                {"inputs": [[0.1, 0.2]]},
-                {"model": "demo"},
-                {"model": "demo", "inputs": [[0.1]]},
-                {"model": "demo", "inputs": [[0.1, 0.2]], "vdd": -2},
-                {"model": "demo", "inputs": [[0.1, 0.2]],
-                 "engine": "bogus"},
-                {"model": "demo", "inputs": [[0.1, 0.2]],
-                 "solver": "sparse"})
-        ] + [b"{not json", b""]
-        for body in cases:
-            threaded, aio = self._both("POST", "/predict", body)
-            assert threaded == aio, body
-            assert threaded[0] >= 400
+    def test_predict_success_bodies_identical(self, golden_server):
+        server, golden = golden_server
+        assert len(golden["predict_success"]) == 3
+        assert all(c["status"] == 200 for c in golden["predict_success"])
+        self._check(server, "POST", golden["predict_success"])
 
-    def test_get_endpoints_identical(self):
-        for path in ("/healthz", "/models", "/engines", "/experiments",
-                     "/experiments/table1", "/campaigns", "/nope"):
-            threaded, aio = self._both("GET", path)
-            assert threaded == aio, path
+    def test_predict_error_bodies_identical(self, golden_server):
+        server, golden = golden_server
+        assert len(golden["predict_errors"]) == 9
+        assert all(c["status"] >= 400 for c in golden["predict_errors"])
+        self._check(server, "POST", golden["predict_errors"])
+
+    def test_get_endpoints_identical(self, golden_server):
+        server, golden = golden_server
+        assert [c["path"] for c in golden["get"]] == [
+            "/healthz", "/models", "/engines", "/experiments",
+            "/experiments/table1", "/campaigns", "/nope"]
+        self._check(server, "GET", golden["get"])
 
 
 @pytest.mark.usefixtures("dual_stack")
 class TestErrorShapeContract:
     """Every /predict error body: error, model, engine — in order."""
 
-    SERVERS = ("threaded", "aio")
-
-    def _post_pairs(self, server, payload):
-        status, raw = _raw(server.host, server.port, "POST", "/predict",
-                           json.dumps(payload).encode())
+    def _post_pairs(self, payload):
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict", json.dumps(payload).encode())
         return status, json.loads(raw,
                                   object_pairs_hook=lambda p: p)
 
     def test_error_bodies_carry_model_and_engine(self):
-        for name in self.SERVERS:
-            server = getattr(self, name)
-            for payload, model, engine in (
-                    ({"model": "nope", "inputs": [[0.1, 0.2]]},
-                     "nope", "behavioral"),
-                    ({"model": "demo", "inputs": [[0.1]],
-                      "engine": "rc"}, "demo", "rc"),
-                    ({"inputs": [[0.1, 0.2]]}, None, "behavioral"),
-                    ({"model": "demo"}, "demo", "behavioral")):
-                status, pairs = self._post_pairs(server, payload)
-                assert status >= 400
-                assert [k for k, _ in pairs] == \
-                    ["error", "model", "engine"], (name, payload)
-                fields = dict(pairs)
-                assert fields["model"] == model
-                assert fields["engine"] == engine
+        for payload, model, engine in (
+                ({"model": "nope", "inputs": [[0.1, 0.2]]},
+                 "nope", "behavioral"),
+                ({"model": "demo", "inputs": [[0.1]],
+                  "engine": "rc"}, "demo", "rc"),
+                ({"inputs": [[0.1, 0.2]]}, None, "behavioral"),
+                ({"model": "demo"}, "demo", "behavioral")):
+            status, pairs = self._post_pairs(payload)
+            assert status >= 400
+            assert [k for k, _ in pairs] == \
+                ["error", "model", "engine"], payload
+            fields = dict(pairs)
+            assert fields["model"] == model
+            assert fields["engine"] == engine
 
     def test_success_bodies_unchanged_by_contract(self):
-        for name in self.SERVERS:
-            server = getattr(self, name)
-            status, raw = _raw(server.host, server.port, "POST",
-                               "/predict",
-                               json.dumps({"model": "demo",
-                                           "inputs": [[0.3, 0.7]]
-                                           }).encode())
-            assert status == 200
-            assert list(json.loads(raw)) == \
-                ["model", "predictions", "margins", "count", "engine",
-                 "solver"]
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict",
+                           json.dumps({"model": "demo",
+                                       "inputs": [[0.3, 0.7]]}).encode())
+        assert status == 200
+        assert list(json.loads(raw)) == \
+            ["model", "predictions", "margins", "count", "engine",
+             "solver"]
 
 
 @pytest.mark.usefixtures("dual_stack")
@@ -462,6 +470,94 @@ class TestAioTransport:
             clash.run()
 
 
+def _exchange(server, data, *, timeout=5.0):
+    """Send raw bytes, read until the server closes the connection;
+    returns everything it sent back."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _single_json_reply(raw):
+    """``(status, body)`` of the one response in ``raw``; it must be a
+    JSON error announcing ``Connection: close``."""
+    assert raw.count(b"HTTP/1.1 ") == 1, raw
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    assert b"Content-Type: application/json" in head
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.usefixtures("dual_stack")
+class TestRequestFraming:
+    """Bad framing gets a JSON error and a closed connection."""
+
+    @staticmethod
+    def _post_head(content_length):
+        return (f"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n").encode()
+
+    def test_non_integer_content_length_is_400(self):
+        status, body = _single_json_reply(
+            _exchange(self.aio, self._post_head("abc") + b"{}"))
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_content_length_is_400(self):
+        # The bytes after the head must not be served as a second
+        # request on the same connection.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, body = _single_json_reply(
+            _exchange(self.aio, self._post_head("-5") + smuggled))
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self):
+        t0 = time.perf_counter()
+        status, body = _single_json_reply(
+            _exchange(self.aio, self._post_head("99999999999")))
+        assert status == 413
+        assert str(aio_server.MAX_BODY_BYTES) in body["error"]
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_stalled_body_is_408(self, monkeypatch):
+        monkeypatch.setattr(aio_server, "BODY_READ_TIMEOUT", 0.3)
+        t0 = time.perf_counter()
+        status, body = _single_json_reply(
+            _exchange(self.aio, self._post_head(100) + b'{"model": '))
+        assert status == 408
+        assert "not received" in body["error"]
+        assert 0.25 <= time.perf_counter() - t0 < 3.0
+
+    def test_malformed_head_is_400_not_a_drop(self):
+        status, body = _single_json_reply(
+            _exchange(self.aio, b"NONSENSE\r\nX: y\r\n\r\n"))
+        assert status == 400
+        assert "malformed request line" in body["error"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        # Head-shaped fragments reach the header-parsing branches.
+        st.lists(st.sampled_from([
+            b"GET", b"POST", b" ", b"/predict", b"HTTP/1.1", b"HTTP/",
+            b"\r\n", b":", b"Content-Length", b"5", b"\t", b"\xff",
+            b"\x00"]), max_size=30).map(b"".join)))
+    def test_parse_head_returns_or_raises_value_error(self, blob):
+        try:
+            parsed = aio_server._parse_head(blob + b"\r\n\r\n")
+        except ValueError:
+            return
+        assert isinstance(parsed, tuple) and len(parsed) == 4
+
+
 # -- worker pool ------------------------------------------------------------
 
 
@@ -588,12 +684,6 @@ class TestLoadgen:
         fill = report["batch_fill"]["demo"]
         assert fill["rows"] == report["requests"] * 4
         assert sum(fill["batch_rows_hist"].values()) == fill["batches"]
-
-    def test_closed_loop_against_threaded_transport(self):
-        report = run_closed_loop(self.threaded.url, "demo",
-                                 self.data.X[:2].tolist(),
-                                 connections=2, duration=0.2)
-        assert report["requests"] > 0 and report["errors"] == 0
 
     def test_open_loop_honours_schedule(self):
         report = run_open_loop(self.aio.url, "demo",

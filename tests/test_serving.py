@@ -13,10 +13,10 @@ Pins the three guarantees serving rests on:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import urllib.error
 import urllib.request
-from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -34,10 +34,10 @@ from repro.core.perceptron import DifferentialPwmPerceptron
 from repro.core.training import PerceptronTrainer
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
+    AsyncMicroBatcher,
+    AsyncPerceptronServer,
     BatchInferenceEngine,
-    MicroBatcher,
     ModelStore,
-    PerceptronServer,
     deserialize_model,
     serialize_model,
 )
@@ -268,7 +268,9 @@ class TestEngineEquivalence:
             assert vec.perceptron.bias == ref.perceptron.bias
 
 
-class TestMicroBatcher:
+class TestEngineBackedBatcher:
+    """The micro-batcher in front of the real behavioural engine."""
+
     @staticmethod
     def _handler(p):
         def handler(features, vdds):
@@ -281,47 +283,62 @@ class TestMicroBatcher:
         p = _perceptron([3, -2], 1)
         rng = np.random.default_rng(0)
         X = rng.uniform(0.0, 1.0, (30, 2))
-        with MicroBatcher(self._handler(p), max_batch=8,
-                          max_latency=0.05) as batcher:
-            futures = [batcher.submit(row) for row in X]
-            wait(futures, timeout=10)
-            got = np.concatenate([f.result() for f in futures])
+
+        async def scenario():
+            batcher = AsyncMicroBatcher(self._handler(p), max_batch=8,
+                                        max_latency=0.05)
+            got = await asyncio.gather(*[batcher.submit(row)
+                                         for row in X])
+            return np.concatenate(got), batcher.stats.snapshot()
+
+        got, stats = asyncio.run(scenario())
         assert np.array_equal(got, ENGINE.predict(p, X))
-        stats = batcher.stats.snapshot()
         assert stats["rows"] == 30
         assert stats["max_batch_rows"] <= 8
         assert stats["batches"] < 30  # actually coalesced
 
     def test_latency_flush_for_lone_request(self):
         p = _perceptron([3, -2], 1)
-        with MicroBatcher(self._handler(p), max_batch=1024,
-                          max_latency=0.01) as batcher:
-            future = batcher.submit([0.5, 0.5])
-            assert future.result(timeout=5).shape == (1,)
+
+        async def scenario():
+            batcher = AsyncMicroBatcher(self._handler(p), max_batch=1024,
+                                        max_latency=0.01)
+            return await asyncio.wait_for(batcher.submit([0.5, 0.5]), 5)
+
+        assert asyncio.run(scenario()).shape == (1,)
 
     def test_handler_errors_propagate(self):
         def broken(features, vdds):
             raise ValueError("boom")
 
-        with MicroBatcher(broken, max_batch=4,
-                          max_latency=0.001) as batcher:
-            future = batcher.submit([0.5, 0.5])
+        async def scenario():
+            batcher = AsyncMicroBatcher(broken, max_batch=4,
+                                        max_latency=0.001)
             with pytest.raises(ValueError, match="boom"):
-                future.result(timeout=5)
+                await batcher.submit([0.5, 0.5])
+
+        asyncio.run(scenario())
 
     def test_submit_after_stop_rejected(self):
-        batcher = MicroBatcher(self._handler(_perceptron([1], 0)),
-                               max_batch=4).start()
-        batcher.stop()
-        with pytest.raises(AnalysisError, match="not running"):
-            batcher.submit([0.5])
+        async def scenario():
+            batcher = AsyncMicroBatcher(
+                self._handler(_perceptron([1], 0)), max_batch=4)
+            batcher.stop()
+            with pytest.raises(AnalysisError, match="not running"):
+                await batcher.submit([0.5])
+
+        asyncio.run(scenario())
 
     def test_bad_parameters(self):
         handler = self._handler(_perceptron([1], 0))
-        with pytest.raises(AnalysisError):
-            MicroBatcher(handler, max_batch=0)
-        with pytest.raises(AnalysisError):
-            MicroBatcher(handler, max_latency=-1.0)
+
+        async def scenario():
+            with pytest.raises(AnalysisError):
+                AsyncMicroBatcher(handler, max_batch=0)
+            with pytest.raises(AnalysisError):
+                AsyncMicroBatcher(handler, max_latency=-1.0)
+
+        asyncio.run(scenario())
 
 
 @pytest.fixture(scope="class")
@@ -332,8 +349,8 @@ def serving_stack(request, tmp_path_factory):
                                              epochs=40).perceptron
     store = ModelStore(tmp_path_factory.mktemp("models"))
     store.save("demo", model)
-    server = PerceptronServer(store, port=0, max_batch=16,
-                              max_latency=0.002).start()
+    server = AsyncPerceptronServer(store, port=0, max_batch=16,
+                                   max_latency=0.002, workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.server = server
@@ -522,32 +539,44 @@ class TestExperimentEndpoints:
         assert counters.get("/experiments/run", 0) >= 1
 
 
+def _predict(server, payload):
+    """POST one /predict payload: ``(status, body)``."""
+    request = urllib.request.Request(
+        server.url + "/predict", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as r:
+            return r.status, json.loads(r.read())
+    except urllib.error.HTTPError as e:
+        return e.code, json.loads(e.read())
+
+
 class TestModelHotReload:
     def test_reexported_artifact_served_without_restart(self, tmp_path):
         store = ModelStore(tmp_path)
         store.save("m", _perceptron([3, 3], -3))
-        with PerceptronServer(store, port=0) as server:
-            first = server.get_model("m")
-            assert server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]]}
-            )["predictions"] == [1]
+        with AsyncPerceptronServer(store, port=0, workers=0) as server:
+            assert _predict(server, {"model": "m", "inputs": [[0.9, 0.9]]}
+                            )[1]["predictions"] == [1]
+            first = server._models["m"]
             # Re-export an inverted model under the same name: /predict
             # must pick it up (and rebuild the batcher) immediately.
             store.save("m", _perceptron([-3, -3], 3))
-            assert server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]]}
-            )["predictions"] == [0]
-            assert server.get_model("m") is not first
+            assert _predict(server, {"model": "m", "inputs": [[0.9, 0.9]]}
+                            )[1]["predictions"] == [0]
+            assert server._models["m"] is not first
 
     def test_nonfinite_vdd_rejected(self, tmp_path):
         store = ModelStore(tmp_path)
         store.save("m", _perceptron([3, 3], -3))
-        with PerceptronServer(store, port=0) as server:
+        with AsyncPerceptronServer(store, port=0, workers=0) as server:
+            # json.dumps writes inf/nan as Infinity/NaN, which the
+            # server's json.loads accepts — parse_predict must not.
             for bad in (float("inf"), float("nan"), -1.0):
-                with pytest.raises(AnalysisError, match="vdd"):
-                    server.handle_predict({"model": "m",
-                                           "inputs": [[0.5, 0.5]],
-                                           "vdd": bad})
+                status, body = _predict(server, {"model": "m",
+                                                 "inputs": [[0.5, 0.5]],
+                                                 "vdd": bad})
+                assert status == 400 and "vdd" in body["error"]
 
 
 class TestServingCli:
