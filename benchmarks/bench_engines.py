@@ -2,7 +2,7 @@
 
 Times the transistor-level (``spice``) supply sweep of the Fig. 2 cell
 at ``fidelity="paper"`` — the paper's 0.5–5 V grid, 150 steps/period —
-through the historical per-point shooting loop and through the stacked
+through a per-point loop of one-point shootings and through the stacked
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` path,
 verifies the two agree bit for bit, and records the other engines'
 timings on the same workload for the fidelity/speed ladder.  Writes
@@ -118,7 +118,7 @@ def main() -> None:
     payload = {
         "description": "engine registry benchmarks: stacked "
                        "BatchTransientSolver MNA sweeps vs the "
-                       "historical per-point shooting loop, plus the "
+                       "per-point loop of one-point shootings, plus the "
                        "behavioral/rc/spice fidelity ladder",
         **host_fields(),
         "benchmarks": [bench_spice_sweep(), bench_engine_ladder()],

@@ -4,10 +4,12 @@ Four workloads:
 
 * the supply-ramp **waveform family** of ``ext_dynamic_supply`` — one
   lock-step :class:`~repro.circuit.batch_transient.BatchTransientSolver`
-  run vs the historical per-ramp transient loop (bit-identical);
+  run vs a loop of one-point ``transient`` runs, one per ramp
+  (bit-identical);
 * the full-perceptron **shooting Jacobian** — the 62-transistor Fig. 1
   netlist's PSS with its seven finite-difference probes stacked into one
-  8-point batch vs the scalar probe loop (bit-identical);
+  8-point batch vs a loop of one-point period runs, one per probe
+  (bit-identical);
 * the **dense/sparse crossover** — one big RC ladder (past
   ``SPARSE_MIN_SIZE`` unknowns at MNA-typical fill) integrated through
   both linear backends;
@@ -32,8 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.circuit import Capacitor, Circuit, Resistor, Vpulse, transient
-from repro.circuit.batch_transient import shooting_jacobian_batched
-from repro.circuit.pss import shooting
+from repro.circuit.batch_transient import (
+    shooting_batch,
+    shooting_jacobian_batched,
+)
 from repro.circuit.sparse import HAS_SCIPY, SPARSE_MIN_SIZE
 from repro.core.full_perceptron import build_full_perceptron_circuit
 from repro.experiments.ext_dynamic_supply import (
@@ -55,11 +59,11 @@ PERCEPTRON_OBSERVE = ["out", "decision", "vref", "XCMP.d2", "XCMP.d1",
 
 
 @benchmark("script.sparse.ramp_family",
-           title="supply-ramp waveform family: stacked vs per-ramp loop",
+           title="supply-ramp waveform family: stacked vs one-point loop",
            kind="report", metric="speedup", unit="x",
            lower_is_better=False, noise=0.6, tags=("script", "sparse"))
 def bench_ramp_family(quick: bool = False) -> dict:
-    """ext_dynamic_supply's waveform family: stacked vs per-ramp loop."""
+    """ext_dynamic_supply's waveform family: stacked vs one-point loop."""
     n_windows, periods_per_window = (4, 4) if quick else (14, 8)
     repeats = 1 if quick else REPEATS
     period = 1.0 / FREQUENCY
@@ -82,7 +86,7 @@ def bench_ramp_family(quick: bool = False) -> dict:
         "workload": "ext_dynamic_supply supply-ramp waveform family",
         "fidelity": "fast",
         "n_waveforms": len(RAMP_TARGETS),
-        "per_ramp_loop_seconds": round(t_loop, 4),
+        "one_point_loop_seconds": round(t_loop, 4),
         "batched_mna_seconds": round(t_batch, 4),
         "speedup": round(t_loop / t_batch, 2),
         "results_bit_identical": bool(identical),
@@ -94,23 +98,26 @@ def bench_ramp_family(quick: bool = False) -> dict:
            kind="report", metric="speedup", unit="x",
            lower_is_better=False, noise=0.6, tags=("script", "sparse"))
 def bench_perceptron_jacobian(quick: bool = False) -> dict:
-    """Full Fig. 1 perceptron PSS: batched FD probes vs the scalar loop."""
+    """Full Fig. 1 perceptron PSS: batched FD probes vs one-point runs."""
     steps = 30 if quick else 80
     repeats = 1 if quick else REPEATS
     duties, weights, theta = (0.5, 0.5, 0.5), (7, 7, 7), 9.0
     period = 1.0 / FREQUENCY
 
-    def scalar():
-        return shooting(
-            build_full_perceptron_circuit(duties, weights, theta),
-            period, observe=PERCEPTRON_OBSERVE, steps_per_period=steps)
+    def probe_loop():
+        # A one-point shooting_batch integrates the base period and
+        # each probe as separate one-point runs.
+        return shooting_batch(
+            [build_full_perceptron_circuit(duties, weights, theta)],
+            period, observe=PERCEPTRON_OBSERVE,
+            steps_per_period=steps).point(0)
 
     def batched():
         return shooting_jacobian_batched(
             build_full_perceptron_circuit(duties, weights, theta),
             period, observe=PERCEPTRON_OBSERVE, steps_per_period=steps)
 
-    t_scalar, ref = best_of_with_result(scalar, repeats)
+    t_loop, ref = best_of_with_result(probe_loop, repeats)
     t_batch, got = best_of_with_result(batched, repeats)
     identical = (np.array_equal(ref.waves.X, got.waves.X)
                  and ref.iterations == got.iterations)
@@ -118,9 +125,9 @@ def bench_perceptron_jacobian(quick: bool = False) -> dict:
         "workload": "full-perceptron shooting PSS (7 observed nodes)",
         "steps_per_period": steps,
         "points_per_iteration": 1 + len(PERCEPTRON_OBSERVE),
-        "scalar_probe_loop_seconds": round(t_scalar, 4),
+        "one_point_probe_loop_seconds": round(t_loop, 4),
         "jacobian_batched_seconds": round(t_batch, 4),
-        "speedup": round(t_scalar / t_batch, 2),
+        "speedup": round(t_loop / t_batch, 2),
         "results_bit_identical": bool(identical),
     }
 
@@ -150,8 +157,11 @@ def bench_sparse_crossover(quick: bool = False) -> dict:
     def run(solver: str):
         return transient(_big_ladder(stages), t_stop, dt, solver=solver)
 
-    t_dense, dense = best_of_with_result(lambda: run("dense"), 1)
-    t_sparse, sparse = best_of_with_result(lambda: run("sparse"), 1) \
+    # One untimed run each: the first big LAPACK solve in a process
+    # pays a one-off start-up cost several times the run itself.
+    t_dense, dense = best_of_with_result(lambda: run("dense"), 1, warmup=1)
+    t_sparse, sparse = best_of_with_result(lambda: run("sparse"), 1,
+                                           warmup=1) \
         if HAS_SCIPY else (None, None)
     out = {
         "workload": f"{stages}-stage RC ladder transient "

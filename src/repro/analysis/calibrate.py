@@ -60,8 +60,18 @@ def calibrate_adder(adder: WeightedAdder, *, engine: str = "spice",
         kwargs = {"steps_per_period": steps_per_period} if engine == "spice" else {}
         measured.append(adder.evaluate(duties, weights, engine=engine,
                                        **kwargs).value)
-    model = fit_calibration(ideal, measured, adder.config.vdd, degree=degree)
-    corrected = [model.apply(v, adder.config.vdd) for v in ideal]
+    return fit_with_residual(ideal, measured, adder.config.vdd,
+                             degree=degree)
+
+
+def fit_with_residual(ideal: Sequence[float], measured: Sequence[float],
+                      vdd: float, *, degree: int = 2
+                      ) -> "Tuple[CalibrationModel, float]":
+    """Fit the calibration polynomial to ``(ideal, measured)`` output
+    pairs; returns ``(model, rms_residual)``, the residual (volts)
+    measured on the fitting pairs themselves."""
+    model = fit_calibration(ideal, measured, vdd, degree=degree)
+    corrected = [model.apply(v, vdd) for v in ideal]
     residual = float(np.sqrt(np.mean(
         (np.asarray(corrected) - np.asarray(measured)) ** 2)))
     return model, residual

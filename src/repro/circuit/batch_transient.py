@@ -1,4 +1,8 @@
-"""Batched MNA transient and shooting PSS over independent sweep points.
+"""The transient integrator: lock-step batched MNA over sweep points.
+
+Every transient and shooting solve in the package runs here:
+:func:`repro.circuit.transient.transient` is a one-point batch and
+:func:`repro.circuit.pss.shooting` is :func:`shooting_jacobian_batched`.
 
 A supply sweep (or Monte-Carlo campaign) of one bench is a family of
 circuits that share *structure* — the same elements on the same nodes
@@ -9,21 +13,23 @@ updates, Newton bookkeeping) once per point; that overhead, not LAPACK,
 dominates the wall clock for the paper's small benches.
 
 :class:`BatchTransientSolver` integrates ``P`` such circuits in
-lock-step: one breakpoint-aware time loop, vectorised companion models,
-one MOSFET stamp over all ``(P, M)`` devices per Newton iteration, and
-one stacked ``(P, S, S)`` linear solve.  Because the stacked system is
-block-diagonal across points, each point's Newton iterates are exactly
-the ones the scalar engine would produce — per-point convergence is
-tracked with a freeze mask, so a point that converges early keeps its
-converged solution while stragglers iterate.  The results are therefore
-bit-identical to per-point :func:`repro.circuit.transient.transient`
-runs whenever no point forces a step-size halving (the perceptron
-benches never do; equality is pinned by the engine tests).
+lock-step: one breakpoint-aware time loop, vectorised companion models
+for capacitors and inductors, one MOSFET stamp over all ``(P, M)``
+devices per Newton iteration, and one stacked ``(P, S, S)`` linear
+solve.  Because the stacked system is block-diagonal across points,
+each point's Newton iterates are exactly the ones a one-point run would
+produce — per-point convergence is tracked with a freeze mask, so a
+point that converges early keeps its converged solution while
+stragglers iterate.  A point whose Newton iteration fails has its step
+halved alone: the failing points split off into their own sub-batch
+from the current state and retry, while the rest accept the step.
+Every point therefore follows exactly the step sequence it would take
+alone, and a batch is bit-identical to one-point runs of its points.
 
 :func:`shooting_batch` lifts the same trick to periodic steady state:
 one batched Newton-shooting iteration drives all points, with each
 point's PSS captured at the iteration where *it* converges — again
-matching the scalar :func:`repro.circuit.pss.shooting` point for point.
+matching one-point :func:`repro.circuit.pss.shooting` runs.
 """
 
 from __future__ import annotations
@@ -39,21 +45,21 @@ from .elements.base import SOURCE
 from .elements.mosfet import GMIN_DS
 from .elements.passives import Capacitor, Inductor
 from .elements.sources import PwmVoltage, Vdc, VoltageSource, Vpulse
-from .exceptions import AnalysisError, ConvergenceError, SingularMatrixError
+from .exceptions import AnalysisError, ConvergenceError
 from .mna import MnaContext
 from .netlist import Circuit
-from .pss import PssResult, _default_observe
+from .pss import PssResult, _default_observe, traced_shooting
 from .sparse import (
     check_solver,
     choose_backend,
     matrix_fill,
-    sparse_solve_batch,
+    sparse_solve,
 )
 from .transient import (
     BE_STEPS_AFTER_BREAKPOINT,
     MIN_STEP,
     TransientResult,
-    transient,
+    check_run_args,
 )
 from .waveform import Waveform
 
@@ -68,23 +74,24 @@ except ImportError:  # pragma: no cover - older/newer numpy layouts
     _gufunc_solve = None
 
 
-def _batched_solve(G: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """Stacked ``(P, S, S) @ x = (P, S)`` solve, minimal overhead.
+def _solve_stack(G: np.ndarray, I: np.ndarray,
+                 backend: Optional[str]) -> np.ndarray:
+    """Stacked ``(P, S, S) @ x = (P, S)`` solve that never raises.
 
-    Callers run under a suppressing ``np.errstate`` (singular systems
-    surface as NaNs and are handled by the finite-ness check).
+    A singular block comes back as a row of NaNs (the gufunc's own
+    signal; the sparse path solves block by block to match), which the
+    Newton loop fails for that point alone.
     """
-    if _gufunc_solve is not None:
+    if backend != "sparse" and _gufunc_solve is not None:
         return _gufunc_solve(G, I[:, :, None])[:, :, 0]
-    return np.linalg.solve(G, I[:, :, None])[:, :, 0]
-
-
-def _note_batch_newton(rt, iterations: int,
-                       backend: Optional[str]) -> None:
-    """Record one converged batched Newton solve (telemetry on only)."""
-    rt.count("repro_mna_newton_solves_total")
-    rt.count("repro_mna_newton_iterations_total", iterations,
-             backend=backend or "dense")
+    solve = sparse_solve if backend == "sparse" else np.linalg.solve
+    out = np.full(I.shape, np.nan)
+    for p in range(G.shape[0]):
+        try:
+            out[p] = solve(G[p], I[p])
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
 
 def _structure_signature(ctx: MnaContext) -> "list[tuple]":
@@ -93,40 +100,64 @@ def _structure_signature(ctx: MnaContext) -> "list[tuple]":
             for el in ctx.circuit.flat_elements]
 
 
-class _BatchCapacitors:
-    """Vectorised companion models for every capacitor in the batch.
+def _gather(idx: np.ndarray, size: int) -> np.ndarray:
+    """Ground-safe gather indices: ground (-1) reads the padded zero."""
+    return np.where(idx >= 0, idx, size)
 
-    State arrays are ``(K, P)`` — one row per capacitor, one column per
-    sweep point.  The companion conductance ``geq`` is shared across
-    points (same C, same dt); only the equivalent current differs.
+
+class _Companions:
+    """Per-point values and companion state of one reactive element kind.
+
+    Arrays are ``(K, P)`` — one row per element, one column per sweep
+    point (parasitic caps scale with device geometry, which Monte-Carlo
+    batches perturb per point).  ``v_prev``/``i_prev`` hold each
+    element's voltage and current at the last accepted step.
     """
 
+    def __init__(self, by_point: List[list], size: int, value):
+        els = by_point[0]
+        self.elements = els
+        self.n = len(els)
+        shape = (self.n, len(by_point))
+        self.a = np.array([el._idx[0] for el in els], dtype=np.intp)
+        self.b = np.array([el._idx[1] for el in els], dtype=np.intp)
+        self.a_gather = _gather(self.a, size)
+        self.b_gather = _gather(self.b, size)
+        self.value = np.array([[value(el) for el in point]
+                               for point in by_point]).T.reshape(shape)
+        self.ic = np.array([[np.nan if el.ic is None else el.ic
+                             for el in point]
+                            for point in by_point]).T.reshape(shape)
+        self.v_prev = np.zeros(shape)
+        self.i_prev = np.zeros(shape)
+        self._cache: "dict[tuple[float, str], np.ndarray]" = {}
+
+    def _voltages(self, x_t_padded: np.ndarray) -> np.ndarray:
+        """Element voltages ``(K, P)`` from padded ``(S+1, P)`` states."""
+        return x_t_padded[self.a_gather] - x_t_padded[self.b_gather]
+
+    def coefficient(self, dt: float, method: str) -> np.ndarray:
+        """``value / dt`` (doubled for trapezoidal) — the capacitor's
+        companion conductance, the inductor's companion resistance —
+        cached per step size."""
+        cached = self._cache.get((dt, method))
+        if cached is None:
+            factor = 1.0 if method == "be" else 2.0
+            cached = factor * self.value / dt
+            self._cache[(dt, method)] = cached
+        return cached
+
+
+class _BatchCapacitors(_Companions):
+    """Vectorised BE/trapezoidal companions for every capacitor."""
+
     def __init__(self, caps_by_point: List[List[Capacitor]], size: int):
-        caps = caps_by_point[0]
-        self.n = len(caps)
-        self.n_points = n_points = len(caps_by_point)
-        if self.n == 0:
-            return
-        a = np.array([c._idx[0] for c in caps], dtype=np.intp)
-        b = np.array([c._idx[1] for c in caps], dtype=np.intp)
-        self.a, self.b = a, b
-        self.a_valid = a >= 0
-        self.b_valid = b >= 0
-        self.a_gather = np.where(a >= 0, a, size)
-        self.b_gather = np.where(b >= 0, b, size)
-        # Per-point values, (K, P): parasitic caps scale with device
-        # geometry, which Monte-Carlo batches perturb per point.
-        self.c = np.array([[c.capacitance for c in point_caps]
-                           for point_caps in caps_by_point]).T
-        self.ic = np.array([[np.nan if c.ic is None else c.ic
-                             for c in point_caps]
-                            for point_caps in caps_by_point]).T
-        self.v_prev = np.zeros((self.n, n_points))
-        self.i_prev = np.zeros((self.n, n_points))
-        self._geq_cache: "dict[tuple[float, str], np.ndarray]" = {}
-        self._live = self.c > 0.0
+        super().__init__(caps_by_point, size, lambda c: c.capacitance)
+        a, b = self.a, self.b
+        self._live = self.value > 0.0
         # RHS scatter slots, interleaved per cap (a row then b row) in
-        # element order to reproduce the scalar accumulation sequence.
+        # element order to reproduce the one-element-at-a-time
+        # accumulation sequence.
         rows, signs, caps_idx = [], [], []
         for k in range(self.n):
             if not self._live[k].any():
@@ -143,40 +174,25 @@ class _BatchCapacitors:
         self._rhs_signs = np.asarray(signs)[:, None]
         self._rhs_caps = np.asarray(caps_idx, dtype=np.intp)
 
-    def _voltages(self, x_t_padded: np.ndarray) -> np.ndarray:
-        """Element voltages ``(K, P)`` from padded ``(S+1, P)`` states."""
-        return x_t_padded[self.a_gather] - x_t_padded[self.b_gather]
-
     def init_state(self, x_t_padded: np.ndarray) -> None:
-        if self.n == 0:
-            return
         self.v_prev = self._voltages(x_t_padded)
         has_ic = np.isfinite(self.ic)
         if has_ic.any():
             self.v_prev[has_ic] = self.ic[has_ic]
         self.i_prev = np.zeros_like(self.v_prev)
 
-    def geq(self, dt: float, method: str) -> np.ndarray:
-        """Companion conductances ``(K, P)``, cached per step size."""
-        cached = self._geq_cache.get((dt, method))
-        if cached is None:
-            factor = 1.0 if method == "be" else 2.0
-            cached = factor * self.c / dt
-            self._geq_cache[(dt, method)] = cached
-        return cached
-
     def add_geq_stack(self, G_stack: np.ndarray, dt: float,
                       method: str) -> None:
         """Companion conductances onto the stacked base, ``(P, S, S)``.
 
         Caps are applied one at a time in element order (vectorised
-        over points only) so every cell accumulates in exactly the
-        sequence the scalar assembler uses — bit-identical sums even
+        over points only) so every cell accumulates in the sequence an
+        element-by-element assembler uses — bit-identical sums even
         where several caps share a node with static conductances.
         """
         if self.n == 0:
             return
-        geq = self.geq(dt, method)
+        geq = self.coefficient(dt, method)
         for k in range(self.n):
             if not self._live[k].any():
                 continue
@@ -191,20 +207,16 @@ class _BatchCapacitors:
                 G_stack[:, b, a] -= g
 
     def stamp_rhs(self, I_t: np.ndarray, dt: float, method: str) -> None:
-        """Equivalent currents into the transposed RHS ``(S, P)``.
-
-        The scatter interleaves each cap's ``a`` then ``b`` row in
-        element order — the scalar ``add_current`` sequence — so nodes
-        shared by several caps accumulate identically.
-        """
-        if self.n == 0 or self._rhs_rows.size == 0:
+        """Equivalent currents into the transposed RHS ``(S, P)``, each
+        cap's ``a`` then ``b`` row in element order."""
+        if self._rhs_rows.size == 0:
             return
-        geq = self.geq(dt, method)
+        geq = self.coefficient(dt, method)
         if method == "be":
             ieq = -geq * self.v_prev
         else:
             ieq = -geq * self.v_prev - self.i_prev
-        # add_current(a, b, ieq): I[a] -= ieq, I[b] += ieq.
+        # Element current ieq from a to b: I[a] -= ieq, I[b] += ieq.
         np.add.at(I_t, self._rhs_rows,
                   self._rhs_signs * ieq.take(self._rhs_caps, axis=0))
 
@@ -213,14 +225,62 @@ class _BatchCapacitors:
         if self.n == 0:
             return
         v_new = self._voltages(x_t_padded)
-        live = self._live
-        geq = self.geq(dt, method)
+        geq = self.coefficient(dt, method)
         if method == "be":
             i_new = geq * (v_new - self.v_prev)
         else:
             i_new = geq * (v_new - self.v_prev) - self.i_prev
-        self.i_prev = np.where(live, i_new, 0.0)
+        self.i_prev = np.where(self._live, i_new, 0.0)
         self.v_prev = v_new
+
+
+class _BatchInductors(_Companions):
+    """Vectorised BE/trapezoidal companions for every inductor.
+
+    Each inductor owns a branch-current row.  Its ``+/-1`` KCL and
+    branch-voltage stamps are value-independent (see
+    :meth:`stamp_structure`); the companion resistance on the branch
+    diagonal and the history term on the branch RHS are per point.  No
+    other element touches an inductor's branch row or column, so these
+    stamps cannot reorder any sum.
+    """
+
+    def __init__(self, inds_by_point: List[List[Inductor]], size: int):
+        super().__init__(inds_by_point, size, lambda el: el.inductance)
+        self.br = np.array([el._branch[0] for el in self.elements],
+                           dtype=np.intp)
+
+    def stamp_structure(self, sys) -> None:
+        """Branch KCL and ``v_a - v_b`` rows into a shared system."""
+        for a, b, br in zip(self.a, self.b, self.br):
+            sys.stamp_branch_kcl(a, b, br)
+            sys.stamp_branch_voltage_row(br, a, b)
+
+    def add_geq_stack(self, G_stack: np.ndarray, dt: float,
+                      method: str) -> None:
+        if self.n:
+            G_stack[:, self.br, self.br] += -self.coefficient(dt, method).T
+
+    def stamp_rhs(self, I_t: np.ndarray, dt: float, method: str) -> None:
+        if self.n == 0:
+            return
+        req = self.coefficient(dt, method)
+        if method == "be":
+            I_t[self.br] += -req * self.i_prev
+        else:
+            I_t[self.br] += -req * self.i_prev - self.v_prev
+
+    def init_state(self, x_t_padded: np.ndarray) -> None:
+        self.i_prev = x_t_padded[self.br]
+        has_ic = np.isfinite(self.ic)
+        if has_ic.any():
+            self.i_prev[has_ic] = self.ic[has_ic]
+        self.v_prev = np.zeros_like(self.i_prev)
+
+    def accept_step(self, x_t_padded: np.ndarray) -> None:
+        if self.n:
+            self.i_prev = x_t_padded[self.br]
+            self.v_prev = self._voltages(x_t_padded)
 
 
 class _BatchMosfets:
@@ -308,8 +368,8 @@ class _BatchMosfets:
             self._buf_by_size[b] = bufs
         gmgt, i_vals = bufs
         # (B, 2, M) -> repeat -> (B, 8, M) * +/-1 -> (B, 8M): the
-        # factors are exact, so the entries equal the scalar engine's
-        # concatenation order.
+        # factors are exact, so the entries equal the per-device
+        # concatenation order of MnaContext's group stamp.
         gmgt[:, 0] = gm
         gmgt[:, 1] = gt
         vals = (gmgt.repeat(4, axis=1) * self._signs).reshape(b, 8 * self.m)
@@ -326,7 +386,7 @@ class _VsrcColumn:
 
     The sweep-family common cases — DC rails and same-timing PWM/pulse
     drivers whose amplitudes vary per point — evaluate as one array
-    expression with exactly the operation order of the scalar
+    expression with exactly the operation order of the element's
     ``value(t)`` (so results stay bit-identical); anything else falls
     back to a per-point Python loop.
     """
@@ -375,32 +435,70 @@ class _VsrcColumn:
 
 
 class BatchTransientResult:
-    """Lock-step solution of a circuit batch: ``X`` is ``(T, P, S)``."""
+    """Solution of a circuit batch.
 
-    def __init__(self, circuits: List[Circuit], t: np.ndarray, X: np.ndarray):
+    While every point takes the same step sequence the trajectories
+    share one time grid ``t`` and stack into ``X`` of shape
+    ``(T, P, S)``.  A point whose step was halved alone runs on its own
+    grid; then ``t``, ``X`` and :meth:`node` raise
+    :class:`AnalysisError` and :meth:`point` returns each trajectory.
+    """
+
+    def __init__(self, circuits: List[Circuit],
+                 t: Optional[np.ndarray] = None,
+                 X: Optional[np.ndarray] = None, *,
+                 waves: "Optional[List[tuple]]" = None):
         self.circuits = circuits
-        self.t = t
-        self.X = X
+        self._t = t
+        self._X = X
+        self._waves = waves             # per point: (t (T,), X (T, S))
+
+    def _require_shared_grid(self) -> None:
+        if self._waves is not None:
+            raise AnalysisError(
+                "batch points took different step sequences (a point's "
+                "step was halved alone); read them with point(p)")
+
+    @property
+    def t(self) -> np.ndarray:
+        self._require_shared_grid()
+        return self._t
+
+    @property
+    def X(self) -> np.ndarray:
+        self._require_shared_grid()
+        return self._X
 
     @property
     def n_points(self) -> int:
-        return self.X.shape[1]
+        return len(self.circuits)
 
     @property
     def final_x(self) -> np.ndarray:
         """End states, shape ``(P, S)``."""
-        return self.X[-1].copy()
+        if self._waves is None:
+            return self._X[-1].copy()
+        return np.stack([X[-1] for _t, X in self._waves])
 
     def node(self, name: str) -> np.ndarray:
         """Node voltages over time for every point, shape ``(T, P)``."""
+        self._require_shared_grid()
         idx = self.circuits[0].node_index(name)
         if idx < 0:
-            return np.zeros(self.X.shape[:2])
-        return self.X[:, :, idx]
+            return np.zeros(self._X.shape[:2])
+        return self._X[:, :, idx]
 
     def point(self, p: int) -> TransientResult:
         """One point's trajectory as an ordinary :class:`TransientResult`."""
-        return TransientResult(self.circuits[p], self.t, self.X[:, p, :])
+        if self._waves is None:
+            return TransientResult(self.circuits[p], self._t,
+                                   self._X[:, p, :])
+        return TransientResult(self.circuits[p], *self._waves[p])
+
+
+def _columns(state: tuple, keep: np.ndarray) -> tuple:
+    """The companion state of the points ``keep`` selects."""
+    return tuple(a[:, keep] for a in state)
 
 
 class BatchTransientSolver:
@@ -408,51 +506,60 @@ class BatchTransientSolver:
 
     All circuits must share their element structure (names, types, node
     bindings) and their source *timing* (breakpoints); element values —
-    rail voltages, source amplitudes, device geometry, resistances — are
-    free to differ per point.  Unsupported in batches: inductors and
-    non-MOSFET nonlinear devices (switches), which keep per-element
-    Python state the vectorised layer does not model.
+    rail voltages, source amplitudes, device geometry, resistances,
+    capacitances, inductances — are free to differ per point.
+    Non-MOSFET nonlinear elements (switches) stamp per point.
     """
+
+    #: Analysis label on the step-rejection counter.
+    _analysis = "transient"
 
     def __init__(self, circuits: Sequence[Circuit], *,
                  solver: str = "auto"):
-        self.circuits = list(circuits)
-        if not self.circuits:
+        circuits = list(circuits)
+        if not circuits:
             raise AnalysisError("need at least one circuit to batch")
-        self.solver = check_solver(solver)
+        solver = check_solver(solver)
+        self._setup([MnaContext(c, solver=solver) for c in circuits])
+
+    @classmethod
+    def _from_contexts(cls, contexts: List[MnaContext]
+                       ) -> "BatchTransientSolver":
+        """A solver over existing contexts, which keep their solver
+        choice; one context may back several points."""
+        self = cls.__new__(cls)
+        self._setup(list(contexts))
+        return self
+
+    def _setup(self, contexts: List[MnaContext]) -> None:
+        self.contexts = contexts
+        self.circuits = [ctx.circuit for ctx in contexts]
+        ctx0 = contexts[0]
+        self.solver = ctx0.solver
         #: Concrete linear-solve backend, decided lazily from the first
-        #: assembled stack (see :mod:`repro.circuit.sparse`).
+        #: assembled stack unless the first context already decided
+        #: (see :mod:`repro.circuit.sparse`).
         self._backend: Optional[str] = None
-        self.contexts = [MnaContext(c, solver=solver)
-                         for c in self.circuits]
-        ctx0 = self.contexts[0]
         self.size = ctx0.size
         self.n_nodes = ctx0.n_nodes
-        self.n_points = len(self.circuits)
+        self.n_points = len(contexts)
+        self._subsets: "dict[bytes, BatchTransientSolver]" = {}
 
         signature = _structure_signature(ctx0)
-        for ctx in self.contexts[1:]:
+        for ctx in contexts[1:]:
+            if ctx is ctx0:
+                continue
             if ctx.size != ctx0.size or \
                     _structure_signature(ctx) != signature:
                 raise AnalysisError(
                     "batched circuits must share element structure "
                     "(same elements on the same nodes); rebuild the "
                     "family from one parametrised builder")
-        for ctx in self.contexts:
-            if ctx.other_nonlinear:
-                raise AnalysisError(
-                    "batched transient does not support non-MOSFET "
-                    "nonlinear elements (switches); use the scalar "
-                    "engine")
-            if any(isinstance(el, Inductor) for el in ctx.reactive_elements):
-                raise AnalysisError(
-                    "batched transient does not support inductors yet; "
-                    "use the scalar engine")
 
         # Per-point static base (stacked); structure is shared so the
         # source branch rows can be folded in once.
-        self._G_static = np.stack([ctx._G_static for ctx in self.contexts])
-        self._I_static = np.stack([ctx._I_static for ctx in self.contexts])
+        self._G_static = np.stack([ctx._G_static for ctx in contexts])
+        self._I_static = np.stack([ctx._I_static for ctx in contexts])
 
         cats0 = ctx0.circuit.by_category
         self._vsources = [el for el in cats0[SOURCE]
@@ -461,19 +568,35 @@ class BatchTransientSolver:
                           if not isinstance(el, VoltageSource)]
         # Per-point source elements, aligned with the shared structure.
         by_name = [{el.name: el for el in ctx.circuit.by_category[SOURCE]}
-                   for ctx in self.contexts]
-        self._vsources_by_point = [[bn[el.name] for el in self._vsources]
-                                   for bn in by_name]
+                   for ctx in contexts]
+        vsources_by_point = [[bn[el.name] for el in self._vsources]
+                             for bn in by_name]
         self._isources_by_point = [[bn[el.name] for el in self._isources]
                                    for bn in by_name]
         # Per-source batched value evaluators — the per-step RHS fill
         # runs thousands of times.
         self._vsrc_cols = [
-            _VsrcColumn([self._vsources_by_point[p][k]
+            _VsrcColumn([vsources_by_point[p][k]
                          for p in range(self.n_points)])
             for k in range(len(self._vsources))]
-        # Voltage-source structure stamps (branch KCL + voltage rows)
-        # are value-independent: fold them into one shared addition.
+        self._vsrc_branch = np.array(
+            [el._branch[0] for el in self._vsources], dtype=np.intp)
+
+        self._caps = _BatchCapacitors(
+            [[el for el in ctx.reactive_elements
+              if isinstance(el, Capacitor)] for ctx in contexts],
+            self.size)
+        self._inds = _BatchInductors(
+            [[el for el in ctx.reactive_elements
+              if isinstance(el, Inductor)] for ctx in contexts],
+            self.size)
+        self._mosfets = _BatchMosfets(contexts)
+        self._switches = [ctx.other_nonlinear for ctx in contexts]
+        self._nonlinear = self._mosfets.m > 0 or bool(self._switches[0])
+
+        # Voltage-source and inductor structure stamps (branch KCL +
+        # voltage rows) are value-independent: fold them into one
+        # shared addition.
         self._G_sources = np.zeros((self.size, self.size))
         sys_view = ctx0.sys_view(self._G_sources, np.zeros(self.size))
         for el in self._vsources:
@@ -481,30 +604,63 @@ class BatchTransientSolver:
             br = el._branch[0]
             sys_view.stamp_branch_kcl(a, b, br)
             sys_view.stamp_branch_voltage_row(br, a, b)
-        self._vsrc_branch = np.array(
-            [el._branch[0] for el in self._vsources], dtype=np.intp)
-
-        self._caps = _BatchCapacitors(
-            [[el for el in ctx.reactive_elements
-              if isinstance(el, Capacitor)] for ctx in self.contexts],
-            self.size)
-        self._mosfets = _BatchMosfets(self.contexts)
+        self._inds.stamp_structure(sys_view)
 
         # Per-(dt, method) shared stamp cache: the companion
         # conductances and source structure rows do not depend on the
-        # solution or the point, so each distinct step size is
-        # assembled once.
+        # solution, so each distinct step size is assembled once.
         self._shared_g_cache: "dict[tuple[float, str], np.ndarray]" = {}
         # Column-padded state scratch for the MOSFET gathers (last
         # column stays zero = ground).
         self._xpad_cols = np.zeros((self.n_points, self.size + 1))
         self._tol_cache: "dict[tuple[float, float], np.ndarray]" = {}
 
+    def _subset(self, rows: np.ndarray) -> "BatchTransientSolver":
+        """The solver over points ``rows`` (sorted), sharing contexts.
+
+        Cached per row set; companion state is per run, so a cached
+        subset is reinitialised by whoever runs it next.
+        """
+        if rows.size == self.n_points:
+            return self
+        key = rows.tobytes()
+        sub = self._subsets.get(key)
+        if sub is None:
+            sub = BatchTransientSolver._from_contexts(
+                [self.contexts[int(r)] for r in rows])
+            sub._backend = self._backend
+            sub._analysis = self._analysis
+            self._subsets[key] = sub
+        return sub
+
+    # -- companion state -----------------------------------------------------
+
+    def _init_state(self, x: np.ndarray) -> None:
+        x_t = self._padded(x)
+        self._caps.init_state(x_t)
+        self._inds.init_state(x_t)
+
+    def _get_state(self) -> tuple:
+        return (self._caps.v_prev, self._caps.i_prev,
+                self._inds.i_prev, self._inds.v_prev)
+
+    def _set_state(self, state: tuple) -> None:
+        (self._caps.v_prev, self._caps.i_prev,
+         self._inds.i_prev, self._inds.v_prev) = state
+
+    def _accept_step(self, x: np.ndarray, dt: float, method: str) -> None:
+        x_t = self._padded(x)
+        self._caps.accept_step(x_t, dt, method)
+        self._inds.accept_step(x_t)
+
     # -- assembly ----------------------------------------------------------
 
     def _breakpoints(self, t0: float, t1: float) -> np.ndarray:
-        ref = self.contexts[0].breakpoints(t0, t1)
+        ctx0 = self.contexts[0]
+        ref = ctx0.breakpoints(t0, t1)
         for ctx in self.contexts[1:]:
+            if ctx is ctx0:
+                continue
             other = ctx.breakpoints(t0, t1)
             if other.shape != ref.shape or not np.array_equal(other, ref):
                 raise AnalysisError(
@@ -515,7 +671,7 @@ class BatchTransientSolver:
 
     def _source_rhs(self, I_t: np.ndarray, t: float) -> None:
         """Per-point source values into the transposed RHS ``(S, P)``."""
-        for k, el in enumerate(self._vsources):
+        for k in range(len(self._vsources)):
             I_t[self._vsrc_branch[k]] += self._vsrc_cols[k](t)
         for k, el in enumerate(self._isources):
             a, b = el._idx
@@ -527,9 +683,23 @@ class BatchTransientSolver:
                 if b >= 0:
                     I_t[b, p] += i
 
+    def _g_base(self, dt: float, method: str) -> np.ndarray:
+        """Static + source structure + companion stamps, ``(P, S, S)``."""
+        key = (dt, method)
+        G_base = self._shared_g_cache.get(key)
+        if G_base is None:
+            # Structure rows are exact +/-1 additions into cells the
+            # static stamps never touch; the cap companions then
+            # accumulate in element order (see add_geq_stack).
+            G_base = self._G_static + self._G_sources[None, :, :]
+            self._caps.add_geq_stack(G_base, dt, method)
+            self._inds.add_geq_stack(G_base, dt, method)
+            self._shared_g_cache[key] = G_base
+        return G_base
+
     def _padded(self, x: np.ndarray) -> np.ndarray:
         """Transpose states to ``(S+1, P)`` with a zero ground row."""
-        x_t = np.zeros((self.size + 1, self.n_points))
+        x_t = np.zeros((self.size + 1, x.shape[0]))
         x_t[:-1] = x.T
         return x_t
 
@@ -544,18 +714,32 @@ class BatchTransientSolver:
             self._tol_cache[key] = cached
         return cached
 
+    def _stamp_switches(self, G: np.ndarray, I_t: np.ndarray,
+                        x_work: np.ndarray, work: np.ndarray,
+                        t: float) -> None:
+        """Non-MOSFET nonlinear elements, per point on its own slice
+        (after the MOSFETs, as :class:`MnaContext` stamps them)."""
+        for i, p in enumerate(work):
+            view = self.contexts[p].sys_view(G[i], I_t[:, i])
+            for el in self._switches[p]:
+                el.stamp_nonlinear(view, x_work[i], t)
+
     # -- Newton -----------------------------------------------------------
 
     def _solve_newton(self, x0: np.ndarray, t: float, dt: float,
                       method: str, *, max_iter: int = 80,
                       vlimit: float = 1.0, abstol: float = 1e-6,
-                      reltol: float = 1e-4, itol: float = 1e-9) -> np.ndarray:
+                      reltol: float = 1e-4, itol: float = 1e-9
+                      ) -> "tuple[np.ndarray, Optional[np.ndarray]]":
         """Damped Newton at one time point, vectorised over points.
 
         Block-diagonal structure keeps every point's iterate sequence
-        identical to the scalar engine's: updates, clamping and the
+        identical to a one-point solve's: updates, clamping and the
         convergence test apply per point, and a converged point's state
-        is frozen while the rest keep iterating.
+        is frozen while the rest keep iterating.  Returns ``(x,
+        failed)``: ``failed`` is ``None`` when every point converged,
+        else a per-point mask of the points whose iteration diverged or
+        ran out of iterations (their rows of ``x`` are meaningless).
         """
         rt = telemetry.active()
         if rt is None:
@@ -571,68 +755,61 @@ class BatchTransientSolver:
 
     def _solve_newton_impl(self, x0: np.ndarray, t: float, dt: float,
                            method: str, *, max_iter, vlimit, abstol,
-                           reltol, itol, rt) -> np.ndarray:
-        key = (dt, method)
-        G_base = self._shared_g_cache.get(key)
-        if G_base is None:
-            # Source structure rows are exact +/-1 additions into cells
-            # the static stamps never touch; the cap companions then
-            # accumulate in scalar element order (see add_geq_stack).
-            G_base = self._G_static + self._G_sources[None, :, :]
-            self._caps.add_geq_stack(G_base, dt, method)
-            self._shared_g_cache[key] = G_base
+                           reltol, itol, rt
+                           ) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+        G_base = self._g_base(dt, method)
         I_t_base = self._I_static.T.copy()          # (S, P)
-        # Scalar assembly order: sources first, then reactive companions.
+        # Assembly order: sources first, then reactive companions.
         self._source_rhs(I_t_base, t)
         self._caps.stamp_rhs(I_t_base, dt, method)
+        self._inds.stamp_rhs(I_t_base, dt, method)
 
         x = x0.copy()                                # (P, S)
         n = self.n_nodes
-        has_nonlinear = self._mosfets.m > 0
+        mosfets = self._mosfets
+        failed: Optional[np.ndarray] = None
         # Indices of points still iterating.  The stacked system is
         # block-diagonal, so dropping a converged point's rows neither
         # changes the others' iterates nor its own frozen solution —
         # stragglers iterate on an ever-smaller stack.
         work = np.arange(self.n_points)
+        iterations = 0
 
-        for _iteration in range(max_iter):
+        for iterations in range(1, max_iter + 1):
             full = work.size == self.n_points
             # Fancy indexing already copies, so subsets skip the
             # explicit copy.
             G = G_base.copy() if full else G_base[work]
             I_t = I_t_base.copy() if full else I_t_base[:, work]
             x_work = x if full else x[work]
-            if has_nonlinear:
+            if mosfets.m:
                 xpad = self._xpad_cols[:work.size]
                 xpad[:, :-1] = x_work
-                self._mosfets.stamp(G, I_t, xpad,
-                                    rows=None if full else work)
+                mosfets.stamp(G, I_t, xpad, rows=None if full else work)
+            if self._switches[0]:
+                self._stamp_switches(G, I_t, x_work, work, t)
             if self._backend is None:
-                self._backend = choose_backend(
-                    self.size, matrix_fill(G[0]), self.solver)
+                self._backend = self.contexts[0]._backend or \
+                    choose_backend(self.size, matrix_fill(G[0]),
+                                   self.solver)
                 if rt is not None:
                     rt.count("repro_mna_backend_decisions_total",
                              solver=self.solver, backend=self._backend)
-            try:
-                if self._backend == "sparse":
-                    x_new = sparse_solve_batch(G, I_t.T)
-                else:
-                    x_new = _batched_solve(G, I_t.T)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular MNA matrix in batch: {exc}",
-                    analysis="batch-transient", time=t) from None
+            x_new = _solve_stack(G, I_t.T, self._backend)
             if not np.isfinite(x_new).all():
-                # The direct gufunc signals singular matrices with NaNs
-                # rather than raising; both land here.
-                raise ConvergenceError(
-                    "solution diverged to non-finite values "
-                    "(or singular MNA matrix)",
-                    analysis="batch-transient", time=t)
-            if not has_nonlinear:
-                if rt is not None:
-                    _note_batch_newton(rt, _iteration + 1, self._backend)
-                return x_new
+                # A singular or diverged point fails this step alone.
+                finite = np.isfinite(x_new).all(axis=1)
+                if failed is None:
+                    failed = np.zeros(self.n_points, dtype=bool)
+                failed[work[~finite]] = True
+                work, x_new = work[finite], x_new[finite]
+                x_work = x_work[finite]
+                if not work.size:
+                    break
+            if not self._nonlinear:
+                x[work] = x_new
+                work = work[:0]
+                break
             dx = x_new - x_work
             dv = dx[:, :n]
             abs_dv = np.abs(dv)
@@ -649,25 +826,28 @@ class BatchTransientSolver:
                 x[work[stepped]] = x_new[stepped]
                 # One fused pass: per-column tolerance (abstol on node
                 # voltages, itol on branch currents) — elementwise equal
-                # to the scalar engine's separate v/i tests.
+                # to separate voltage and current tests.
                 ok = stepped & (
                     np.abs(dx) <=
                     self._tol_cols(abstol, itol)
                     + reltol * np.abs(x_new)).all(axis=1)
-                if ok.all():
-                    if rt is not None:
-                        _note_batch_newton(rt, _iteration + 1,
-                                           self._backend)
-                    return x
                 if ok.any():
                     work = work[~ok]
+                    if not work.size:
+                        break
+        if work.size:
+            if failed is None:
+                failed = np.zeros(self.n_points, dtype=bool)
+            failed[work] = True
         if rt is not None:
-            rt.count("repro_mna_convergence_failures_total",
-                     analysis="batch-transient")
-        raise ConvergenceError(
-            f"batched Newton failed to converge in {max_iter} iterations "
-            f"({work.size} of {self.n_points} points open)",
-            analysis="batch-transient", time=t)
+            if failed is None:
+                rt.count("repro_mna_newton_solves_total")
+                rt.count("repro_mna_newton_iterations_total", iterations,
+                         backend=self._backend or "dense")
+            else:
+                rt.count("repro_mna_convergence_failures_total",
+                         analysis="batch-transient")
+        return x, failed
 
     # -- integration -------------------------------------------------------
 
@@ -677,17 +857,12 @@ class BatchTransientSolver:
         """Integrate every point from ``tstart`` to ``tstop`` in lock-step.
 
         ``x0`` is the stacked initial state ``(P, S)``; ``None`` solves
-        each point's DC operating point at ``tstart`` first (scalar, so
-        the starting states match per-point runs exactly).
+        each point's DC operating point at ``tstart`` first (point by
+        point, so the starting states match one-point runs exactly).
+        A step whose Newton iteration fails is halved and retried, at
+        most ``max_retries`` times, for the failing points only.
         """
-        if tstop <= tstart:
-            raise AnalysisError(
-                f"tstop ({tstop}) must exceed tstart ({tstart})")
-        if dt <= 0:
-            raise AnalysisError("dt must be positive")
-        if method not in ("trap", "be"):
-            raise AnalysisError(f"unknown integration method {method!r}")
-
+        check_run_args(tstart, tstop, dt, method)
         if x0 is not None:
             x = np.asarray(x0, dtype=float).copy()
             if x.shape != (self.n_points, self.size):
@@ -698,17 +873,10 @@ class BatchTransientSolver:
             x = np.stack([
                 operating_point(c, t=tstart, ctx=ctx).x
                 for c, ctx in zip(self.circuits, self.contexts)])
-        self._caps.init_state(self._padded(x))
 
         breakpoints = self._breakpoints(tstart, tstop)
         bp_iter: List[float] = [b for b in breakpoints if tstart < b < tstop]
         bp_iter.append(tstop)
-
-        times: List[float] = [tstart]
-        states: List[np.ndarray] = [x.copy()]
-        t_cur = tstart
-        be_countdown = BE_STEPS_AFTER_BREAKPOINT
-        eps = dt * 1e-9
 
         # One errstate frame for the whole run: the direct solve gufunc
         # flags singular systems via NaNs, which the Newton loop checks.
@@ -717,64 +885,112 @@ class BatchTransientSolver:
         with errstate, telemetry.span("mna.transient.batch",
                                       points=self.n_points,
                                       size=self.size):
-            return self._integrate(tstop, dt, method, x, times, states,
-                                   t_cur, be_countdown, eps, bp_iter,
+            return self._integrate(x, tstart, tstop, dt, method, bp_iter,
                                    max_retries)
 
-    def _integrate(self, tstop, dt, method, x, times, states, t_cur,
-                   be_countdown, eps, bp_iter, max_retries
-                   ) -> BatchTransientResult:
+    def _integrate(self, x, tstart, tstop, dt, method, bp_iter,
+                   max_retries) -> BatchTransientResult:
+        self._init_state(x)
+        # A lane is a group of points stepping in lock-step from one
+        # time: (rows, x, t, be_countdown, companion state, times,
+        # states, retry).  The start is a corner (BE steps first).
+        lanes = [(np.arange(self.n_points), x, tstart,
+                  BE_STEPS_AFTER_BREAKPOINT, self._get_state(), [tstart],
+                  [x], None)]
+        finished = []
+        while lanes:
+            finished.append(self._run_lane(lanes.pop(), lanes, tstop, dt,
+                                           method, bp_iter, max_retries))
+        if len(finished) == 1:
+            _rows, times, states = finished[0]
+            return BatchTransientResult(self.circuits, np.asarray(times),
+                                        np.stack(states, axis=0))
+        waves: "List[Optional[tuple]]" = [None] * self.n_points
+        for rows, times, states in finished:
+            t = np.asarray(times)
+            X = np.stack(states, axis=0)
+            for i, p in enumerate(rows):
+                waves[p] = (t, X[:, i, :])
+        return BatchTransientResult(self.circuits, waves=waves)
+
+    def _run_lane(self, lane: tuple, pending: List[tuple], tstop, dt,
+                  method, bp_iter, max_retries):
+        """Step one lane to ``tstop``; returns ``(rows, times, states)``.
+
+        ``rows`` index this solver's points.  When some of the lane's
+        points fail a step, they split off into a new lane on
+        ``pending`` whose ``retry = (h, attempt)`` repeats the step at
+        half size from the current state; this lane carries on without
+        them.
+        """
+        rows, x, t_cur, be_countdown, state, times, states, retry = lane
+        solver = self._subset(rows)
+        solver._set_state(state)
+        eps = dt * 1e-9
         bp_pos = 0
+
         while t_cur < tstop - eps:
             while bp_pos < len(bp_iter) and bp_iter[bp_pos] <= t_cur + eps:
                 bp_pos += 1
             next_bp = bp_iter[bp_pos] if bp_pos < len(bp_iter) else tstop
-            h = min(dt, next_bp - t_cur)
-            step_method = "be" if (method == "be" or be_countdown > 0) \
-                else "trap"
+            if retry is None:
+                h_try = min(dt, next_bp - t_cur)
+                step_method = "be" if (method == "be" or be_countdown > 0) \
+                    else "trap"
+                attempt = 0
+            else:
+                (h_try, attempt), step_method, retry = retry, "be", None
 
-            x_next = None
-            h_try = h
-            for _attempt in range(max_retries):
-                try:
-                    x_next = self._solve_newton(x, t_cur + h_try, h_try,
-                                                step_method)
+            while True:
+                x_next, failed = solver._solve_newton(
+                    x, t_cur + h_try, h_try, step_method)
+                if failed is None:
                     break
-                except ConvergenceError:
-                    # One straggler halves the step for the whole batch;
-                    # correctness is preserved, strict per-point identity
-                    # with the scalar engine is not (see module docs).
+                telemetry.count("repro_mna_step_rejections_total",
+                                analysis=self._analysis)
+                attempt += 1
+                if attempt >= max_retries or h_try * 0.5 < MIN_STEP:
+                    raise ConvergenceError(
+                        "transient step failed even at minimum step size",
+                        analysis="transient", time=t_cur)
+                if failed.all():
                     h_try *= 0.5
                     step_method = "be"
-                    if h_try < MIN_STEP:
-                        break
-            if x_next is None:
-                raise ConvergenceError(
-                    "batched transient step failed even at minimum step "
-                    "size", analysis="batch-transient", time=t_cur)
+                    continue
+                # Split: the failing points retry this step on their
+                # own; the rest accept it and carry on.
+                keep = ~failed
+                state = solver._get_state()
+                pending.append((
+                    rows[failed], x[failed], t_cur, be_countdown,
+                    _columns(state, failed), list(times),
+                    [s[failed] for s in states], (h_try * 0.5, attempt)))
+                rows, x, x_next = rows[keep], x[keep], x_next[keep]
+                states = [s[keep] for s in states]
+                solver = self._subset(rows)
+                solver._set_state(_columns(state, keep))
+                break
 
             t_cur += h_try
-            self._caps.accept_step(self._padded(x_next), h_try, step_method)
+            solver._accept_step(x_next, h_try, step_method)
             x = x_next
             times.append(t_cur)
-            states.append(x.copy())
+            states.append(x)
             if abs(t_cur - next_bp) <= eps:
                 be_countdown = BE_STEPS_AFTER_BREAKPOINT
             elif be_countdown > 0:
                 be_countdown -= 1
-
-        return BatchTransientResult(self.circuits, np.asarray(times),
-                                    np.stack(states, axis=0))
+        return rows, times, states
 
 
 class BatchPssResult:
     """Periodic steady states of a circuit batch.
 
     Every reduction mirrors :class:`~repro.circuit.pss.PssResult`, one
-    value per point; :meth:`point` recovers a scalar result object.
+    value per point; :meth:`point` recovers a one-point result object.
     Waves are stored per point (``(t, X)`` pairs): points captured at
-    different shooting iterations may sit on different time grids when
-    a Newton step-halving refined one iteration's stepping.
+    different shooting iterations, or whose steps were halved alone,
+    sit on different time grids.
     """
 
     def __init__(self, solver: BatchTransientSolver, period: float,
@@ -814,6 +1030,20 @@ class BatchPssResult:
                          float(self.residuals[p]))
 
 
+def _observed_indices(circuit: Circuit,
+                      observe: Optional[Sequence[str]]) -> np.ndarray:
+    """Matrix indices of the shooting Newton's observed nodes."""
+    observe_names = list(observe) if observe else _default_observe(circuit)
+    if not observe_names:
+        raise AnalysisError(
+            "shooting needs at least one observed node; none carry "
+            "explicit capacitors and none were given")
+    obs_idx = np.array([circuit.node_index(n) for n in observe_names])
+    if np.any(obs_idx < 0):
+        raise AnalysisError("cannot observe the ground node")
+    return obs_idx
+
+
 def shooting_batch(circuits: Sequence[Circuit], period: float, *,
                    steps_per_period: int = 200,
                    observe: Optional[Sequence[str]] = None,
@@ -826,37 +1056,20 @@ def shooting_batch(circuits: Sequence[Circuit], period: float, *,
     """Newton-shooting PSS for a whole batch of sweep points at once.
 
     The batched period map is block-diagonal across points, so each
-    point's shooting iterates equal the scalar
+    point's shooting iterates equal a one-point
     :func:`~repro.circuit.pss.shooting` sequence; a point's waves are
     captured at the iteration where *its* residual first drops under
-    ``tol`` (exactly the scalar return), and its state is frozen while
-    the remaining points keep iterating.  Defaults mirror the scalar
-    engine's.
+    ``tol`` (exactly the one-point return), and its state is frozen
+    while the remaining points keep iterating.  Defaults mirror
+    :func:`~repro.circuit.pss.shooting`.
     """
-    rt = telemetry.active()
-    if rt is None:
-        return _shooting_batch_impl(
-            circuits, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, solver=solver)
-    with rt.tracer.span("pss.shooting_batch",
-                        {"points": len(circuits)}) as sp:
-        try:
-            result = _shooting_batch_impl(
-                circuits, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol,
-                fd_delta=fd_delta, method=method,
-                update_limit=update_limit, solver=solver)
-        except ConvergenceError:
-            rt.count("repro_pss_convergence_failures_total")
-            raise
-        sp.set_tag("iterations", int(result.iterations.max()))
-        rt.count("repro_pss_solves_total", result.n_points)
-        rt.count("repro_pss_iterations_total",
-                 int(result.iterations.sum()))
-        return result
+    return traced_shooting(
+        "pss.shooting_batch", {"points": len(circuits)},
+        _shooting_batch_impl, circuits, period,
+        steps_per_period=steps_per_period, observe=observe, x0=x0,
+        warmup_periods=warmup_periods, max_iterations=max_iterations,
+        tol=tol, fd_delta=fd_delta, method=method,
+        update_limit=update_limit, solver=solver)
 
 
 def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
@@ -865,70 +1078,51 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
                          solver) -> BatchPssResult:
     if period <= 0:
         raise AnalysisError("period must be positive")
-    solver_kind = check_solver(solver)
-    solver = BatchTransientSolver(circuits, solver=solver_kind)
-    circuit0 = solver.circuits[0]
-    observe_names = list(observe) if observe \
-        else _default_observe(circuit0)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit0.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
+    full_solver = BatchTransientSolver(circuits, solver=solver)
+    full_solver._analysis = "pss"
+    obs_idx = _observed_indices(full_solver.circuits[0], observe)
     dt = period / steps_per_period
-    n_points = solver.n_points
+    n_points = full_solver.n_points
     n_obs = len(obs_idx)
-
-    def run_period(x_start: np.ndarray) -> BatchTransientResult:
-        return solver.run(period, dt, x0=x_start, method=method)
 
     if x0 is None:
         x = np.stack([
             operating_point(c, t=0.0, ctx=ctx).x
-            for c, ctx in zip(solver.circuits, solver.contexts)])
+            for c, ctx in zip(full_solver.circuits, full_solver.contexts)])
     else:
         x = np.asarray(x0, dtype=float).copy()
     for _ in range(max(warmup_periods, 0)):
-        x = run_period(x).final_x
+        x = full_solver.run(period, dt, x0=x, method=method).final_x
 
-    # Converged points leave the working batch entirely (the solver is
-    # rebuilt on the survivors), so stragglers never drag the whole
+    # Converged points leave the working batch entirely (the survivors
+    # run on a subset solver), so stragglers never drag the whole
     # sweep through extra full-width period runs.  ``order`` maps
     # working-batch rows back to the caller's point indices.
-    full_solver = solver
+    batch = full_solver
     order = np.arange(n_points)
     iterations = np.zeros(n_points, dtype=int)
     residuals = np.full(n_points, np.inf)
     waves: "List[Optional[tuple]]" = [None] * n_points
 
     for iteration in range(1, max_iterations + 1):
-        base = run_period(x)
+        base = batch.run(period, dt, x0=x, method=method)
         fx = base.final_x
         r = fx[:, obs_idx] - x[:, obs_idx]          # (B, n_obs)
         res = np.max(np.abs(r), axis=1)
         residuals[order] = res
         done = res < tol
-        x_start = base.X[0]
         if done.any():
             for i in np.nonzero(done)[0]:
-                waves[order[i]] = (base.t, base.X[:, i, :].copy())
+                wave = base.point(int(i))
+                waves[order[i]] = (wave.t, wave.X.copy())
             iterations[order[done]] = iteration
             if done.all():
                 return BatchPssResult(full_solver, period, waves,
                                       iterations, residuals)
-            keep = np.nonzero(~done)[0]
+            keep = ~done
             order = order[keep]
-            solver = BatchTransientSolver(
-                [solver.circuits[int(k)] for k in keep],
-                solver=solver_kind)
-
-            def run_period(x_start: np.ndarray) -> BatchTransientResult:
-                return solver.run(period, dt, x0=x_start, method=method)
-
+            batch = full_solver._subset(order)
             x, fx, r = x[keep], fx[keep], r[keep]
-            x_start = x_start[keep]
         # Finite-difference Jacobian of the period map, per point.  One
         # batched run per observed node perturbs every surviving point
         # at once.
@@ -936,23 +1130,17 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
         for j in range(n_obs):
             x_pert = x.copy()
             x_pert[:, obs_idx[j]] += fd_delta
-            fx_pert = run_period(x_pert).final_x
+            fx_pert = batch.run(period, dt, x0=x_pert,
+                                method=method).final_x
             A[:, :, j] = (fx_pert[:, obs_idx] - fx[:, obs_idx]) / fd_delta
         # Solve (I - A) dx = r per point; singular/non-finite points
-        # fall back to fixed-point iteration like the scalar engine.
-        eye = np.eye(n_obs)
+        # fall back to fixed-point iteration.
         dx_obs = np.empty((x.shape[0], n_obs))
         for p in range(x.shape[0]):
-            try:
-                dx_p = np.linalg.solve(eye - A[p], r[p])
-            except np.linalg.LinAlgError:
-                dx_p = r[p]
-            if not np.all(np.isfinite(dx_p)):
-                dx_p = r[p]
-            dx_obs[p] = dx_p
+            dx_obs[p] = _newton_update(A[p], r[p])
         dx_obs = np.clip(dx_obs, -update_limit, update_limit)
         x_next = fx.copy()
-        x_next[:, obs_idx] = x_start[:, obs_idx] + dx_obs
+        x_next[:, obs_idx] = x[:, obs_idx] + dx_obs
         x = x_next
 
     raise ConvergenceError(
@@ -960,6 +1148,16 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
         f"iterations ({x.shape[0]} of {n_points} points open, "
         f"worst residual {float(np.max(residuals[order])):.3g} V)",
         analysis="pss")
+
+
+def _newton_update(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve ``(I - A) dx = r`` (Newton on ``F(x) - x = 0``), falling
+    back to the fixed-point step ``r`` when that system is singular."""
+    try:
+        dx = np.linalg.solve(np.eye(len(r)) - A, r)
+    except np.linalg.LinAlgError:
+        return r
+    return dx if np.all(np.isfinite(dx)) else r
 
 
 def shooting_jacobian_batched(circuit: Circuit, period: float, *,
@@ -974,6 +1172,7 @@ def shooting_jacobian_batched(circuit: Circuit, period: float, *,
                               solver: str = "auto") -> PssResult:
     """Newton-shooting PSS of **one** circuit with batched Jacobian runs.
 
+    This is the engine behind :func:`~repro.circuit.pss.shooting`.
     :func:`shooting_batch` batches across sweep *points*; single-point
     paths (the multifreq sweeps, the perceptron-adder transients) cannot
     use it — their circuits differ in source timing.  But every shooting
@@ -987,92 +1186,66 @@ def shooting_jacobian_batched(circuit: Circuit, period: float, *,
 
     The stacked system is block-diagonal across the batch, so the base
     trajectory's iterates are unaffected by the speculative probe
-    points: residuals, Jacobians and updates equal the scalar
-    :func:`~repro.circuit.pss.shooting` sequence bit for bit (the probes
-    are run speculatively *before* the residual test, which only wastes
-    work on the final iteration).  Warmup periods run through the scalar
-    engine — identical by construction.
+    points: residuals, Jacobians and updates equal a run-one-period-
+    at-a-time shooting loop bit for bit (the probes are run
+    speculatively *before* the residual test, which only wastes work on
+    the final iteration).  Warmup periods run the base point alone
+    through the same solver.
     """
-    rt = telemetry.active()
-    if rt is None:
-        return _shooting_jacobian_impl(
-            circuit, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, solver=solver)
-    with rt.tracer.span("pss.shooting_jacobian",
-                        {"circuit": circuit.name}) as sp:
-        try:
-            result = _shooting_jacobian_impl(
-                circuit, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol,
-                fd_delta=fd_delta, method=method,
-                update_limit=update_limit, solver=solver)
-        except ConvergenceError:
-            rt.count("repro_pss_convergence_failures_total")
-            raise
-        sp.set_tag("iterations", result.iterations)
-        rt.count("repro_pss_solves_total")
-        rt.count("repro_pss_iterations_total", result.iterations)
-        return result
+    return traced_shooting(
+        "pss.shooting_jacobian", {"circuit": circuit.name},
+        _shooting_jacobian_impl, circuit, period,
+        steps_per_period=steps_per_period, observe=observe, x0=x0,
+        warmup_periods=warmup_periods, max_iterations=max_iterations,
+        tol=tol, fd_delta=fd_delta, method=method,
+        update_limit=update_limit, ctx=None, solver=solver)
 
 
 def _shooting_jacobian_impl(circuit, period, *, steps_per_period,
                             observe, x0, warmup_periods, max_iterations,
-                            tol, fd_delta, method, update_limit,
+                            tol, fd_delta, method, update_limit, ctx,
                             solver) -> PssResult:
     if period <= 0:
         raise AnalysisError("period must be positive")
-    circuit.compile()
-    observe_names = list(observe) if observe else _default_observe(circuit)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
+    ctx = ctx or MnaContext(circuit, solver=solver)
+    obs_idx = _observed_indices(circuit, observe)
     dt = period / steps_per_period
     n_obs = len(obs_idx)
-    # All batch points are the same circuit object: the batch layer never
-    # mutates element state (capacitor companions live in its own
-    # arrays), so the shared structure check is trivially satisfied.
-    batch_solver = BatchTransientSolver([circuit] * (1 + n_obs),
-                                        solver=solver)
-    ctx = batch_solver.contexts[0]
+    # Every batch point is the same circuit on the same context: the
+    # batch layer never mutates either (companion state lives in its
+    # own arrays).
+    batch = BatchTransientSolver._from_contexts([ctx] * (1 + n_obs))
+    batch._analysis = "pss"
 
     x = operating_point(circuit, t=0.0, ctx=ctx).x.copy() if x0 is None \
         else np.asarray(x0, dtype=float).copy()
-    for _ in range(max(warmup_periods, 0)):
-        x = transient(circuit, period, dt, x0=x, method=method,
-                      ctx=ctx).final_x
+    if warmup_periods > 0:
+        base_only = batch._subset(np.array([0]))
+        for _ in range(warmup_periods):
+            x = base_only.run(period, dt, x0=x[None, :],
+                              method=method).final_x[0]
 
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
         starts = np.repeat(x[None, :], 1 + n_obs, axis=0)
         for j in range(n_obs):
             starts[1 + j, obs_idx[j]] += fd_delta
-        batch = batch_solver.run(period, dt, x0=starts, method=method)
-        fx_all = batch.final_x                       # (1+n_obs, S)
+        runs = batch.run(period, dt, x0=starts, method=method)
+        fx_all = runs.final_x                        # (1+n_obs, S)
         fx = fx_all[0]
         r = fx[obs_idx] - x[obs_idx]
         residual = float(np.max(np.abs(r)))
         if residual < tol:
-            return PssResult(circuit, period, batch.point(0), iteration,
+            return PssResult(circuit, period, runs.point(0), iteration,
                              residual)
         A = np.empty((n_obs, n_obs))
         for j in range(n_obs):
             A[:, j] = (fx_all[1 + j][obs_idx] - fx[obs_idx]) / fd_delta
-        try:
-            dx_obs = np.linalg.solve(np.eye(n_obs) - A, r)
-        except np.linalg.LinAlgError:
-            dx_obs = r  # fall back to fixed-point iteration
-        if not np.all(np.isfinite(dx_obs)):
-            dx_obs = r
-        dx_obs = np.clip(dx_obs, -update_limit, update_limit)
-        x = fx.copy()
-        x[obs_idx] = batch.X[0][0][obs_idx] + dx_obs
+        dx_obs = np.clip(_newton_update(A, r), -update_limit, update_limit)
+        # Carry the full end-state (fast nodes) and correct slow nodes.
+        x_next = fx.copy()
+        x_next[obs_idx] = x[obs_idx] + dx_obs
+        x = x_next
 
     raise ConvergenceError(
         f"shooting did not converge in {max_iterations} iterations "

@@ -2,9 +2,12 @@
 
 :class:`MnaContext` caches everything that does not change between
 solves: static (linear) stamps, the vectorised index arrays for MOSFET
-groups, and scratch matrices.  Analyses (DC, transient, PSS) share one
-context per circuit, which is what makes the Python engine fast enough
-for the paper's 54-transistor adder.
+groups, and scratch matrices.  It solves DC operating points itself;
+the transient integrator
+(:class:`~repro.circuit.batch_transient.BatchTransientSolver`) stacks
+the same cached stamps and index arrays across its points.  Sharing one
+context per circuit is what makes the Python engine fast enough for the
+paper's 54-transistor adder.
 """
 
 from __future__ import annotations
@@ -128,23 +131,15 @@ class MnaContext:
 
     # -- assembly helpers --------------------------------------------------
 
-    def _base_for_point(self, t: float, *, mode: str, dt: Optional[float],
-                        method: str, source_scale: float,
+    def _base_for_point(self, t: float, *, source_scale: float,
                         gshunt: float) -> "tuple[np.ndarray, np.ndarray]":
-        """Static + source + reactive stamps for one (t, dt) point."""
+        """Static + source + DC reactive stamps at time ``t``."""
         sys = self.sys
         sys.load_from(self._G_static, self._I_static)
         for el in self.source_elements:
             el.stamp_source(sys, t, source_scale)
-        if mode == "dc":
-            for el in self.reactive_elements:
-                el.stamp_dc(sys)
-        else:
-            if dt is None or dt <= 0:
-                raise ConvergenceError("transient stamping needs dt > 0",
-                                       analysis="mna")
-            for el in self.reactive_elements:
-                el.stamp_reactive(sys, dt, method)
+        for el in self.reactive_elements:
+            el.stamp_dc(sys)
         if gshunt > 0.0:
             for i in range(self.n_nodes):
                 sys.G[i, i] += gshunt
@@ -153,39 +148,35 @@ class MnaContext:
     # -- Newton ---------------------------------------------------------------
 
     def solve_newton(self, x0: Optional[np.ndarray], t: float, *,
-                     mode: str = "tran", dt: Optional[float] = None,
-                     method: str = "trap", source_scale: float = 1.0,
+                     source_scale: float = 1.0,
                      gshunt: float = 0.0, max_iter: int = 80,
                      vlimit: float = 1.0, abstol: float = 1e-6,
                      reltol: float = 1e-4, itol: float = 1e-9,
                      analysis: str = "newton") -> np.ndarray:
-        """Solve the (possibly nonlinear) MNA system at one time point.
+        """Solve the (possibly nonlinear) DC MNA system at time ``t``.
 
-        Returns the converged solution vector; raises
-        :class:`ConvergenceError` when the damped Newton iteration fails.
+        Capacitors are open and inductors short.  Returns the converged
+        solution vector; raises :class:`ConvergenceError` when the
+        damped Newton iteration fails.
         """
         rt = telemetry.active()
         if rt is None:
             return self._solve_newton_impl(
-                x0, t, mode=mode, dt=dt, method=method,
-                source_scale=source_scale, gshunt=gshunt,
+                x0, t, source_scale=source_scale, gshunt=gshunt,
                 max_iter=max_iter, vlimit=vlimit, abstol=abstol,
                 reltol=reltol, itol=itol, analysis=analysis, rt=None)
         with rt.tracer.span("mna.newton",
-                            {"analysis": analysis, "mode": mode,
-                             "size": self.size}):
+                            {"analysis": analysis, "size": self.size}):
             return self._solve_newton_impl(
-                x0, t, mode=mode, dt=dt, method=method,
-                source_scale=source_scale, gshunt=gshunt,
+                x0, t, source_scale=source_scale, gshunt=gshunt,
                 max_iter=max_iter, vlimit=vlimit, abstol=abstol,
                 reltol=reltol, itol=itol, analysis=analysis, rt=rt)
 
-    def _solve_newton_impl(self, x0, t, *, mode, dt, method, source_scale,
-                           gshunt, max_iter, vlimit, abstol, reltol, itol,
-                           analysis, rt) -> np.ndarray:
+    def _solve_newton_impl(self, x0, t, *, source_scale, gshunt, max_iter,
+                           vlimit, abstol, reltol, itol, analysis,
+                           rt) -> np.ndarray:
         G_base, I_base = self._base_for_point(
-            t, mode=mode, dt=dt, method=method,
-            source_scale=source_scale, gshunt=gshunt)
+            t, source_scale=source_scale, gshunt=gshunt)
         x = np.zeros(self.size) if x0 is None else np.asarray(x0, dtype=float).copy()
         has_nonlinear = self.mosfet_group.n > 0 or bool(self.other_nonlinear)
         x_padded = np.zeros(self.size + 1)
@@ -257,15 +248,7 @@ class MnaContext:
         view.I = I
         return view
 
-    # -- state plumbing shared by transient/PSS ---------------------------------
-
-    def init_states(self, x: np.ndarray) -> None:
-        for el in self.reactive_elements:
-            el.init_state(x)
-
-    def accept_step(self, x: np.ndarray, dt: float, method: str) -> None:
-        for el in self.reactive_elements:
-            el.accept_step(x, dt, method)
+    # -- analysis metadata -----------------------------------------------------
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         points: "list[float]" = []

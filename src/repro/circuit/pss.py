@@ -23,7 +23,7 @@ import numpy as np
 from .. import telemetry
 from .dc import operating_point
 from .elements.passives import Capacitor
-from .exceptions import AnalysisError, ConvergenceError
+from .exceptions import ConvergenceError
 from .mna import MnaContext
 from .netlist import Circuit
 from .transient import TransientResult, transient
@@ -86,6 +86,13 @@ def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
              solver: str = "auto") -> PssResult:
     """Find the periodic steady state with Newton shooting.
 
+    Each iteration integrates one period from the current start state
+    plus one finite-difference probe per observed node, all stacked
+    into one lock-step batch
+    (:func:`~repro.circuit.batch_transient.shooting_jacobian_batched`
+    is the same solve without ``ctx``).  The operating point that
+    seeds the warmup comes from ``ctx`` when given.
+
     Parameters
     ----------
     period:
@@ -105,92 +112,35 @@ def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
         finite-difference noise; clamping keeps the update physical and
         the iteration falls back to (fast) fixed-point behaviour there.
     """
+    # Imported here: the batch module builds on this one.
+    from .batch_transient import _shooting_jacobian_impl
+
+    return traced_shooting(
+        "pss.shooting", {"circuit": circuit.name}, _shooting_jacobian_impl,
+        circuit, period, steps_per_period=steps_per_period,
+        observe=observe, x0=x0, warmup_periods=warmup_periods,
+        max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
+        method=method, update_limit=update_limit, ctx=ctx, solver=solver)
+
+
+def traced_shooting(span: str, tags: dict, impl, *args, **kwargs):
+    """Call a shooting ``impl`` inside a telemetry span that counts PSS
+    solves, iterations and convergence failures (one solve per point of
+    a batch); a plain call while telemetry is off."""
     rt = telemetry.active()
     if rt is None:
-        return _shooting_impl(
-            circuit, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, ctx=ctx,
-            solver=solver)
-    with rt.tracer.span("pss.shooting",
-                        {"circuit": circuit.name}) as sp:
+        return impl(*args, **kwargs)
+    with rt.tracer.span(span, tags) as sp:
         try:
-            result = _shooting_impl(
-                circuit, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-                method=method, update_limit=update_limit, ctx=ctx,
-                solver=solver)
+            result = impl(*args, **kwargs)
         except ConvergenceError:
             rt.count("repro_pss_convergence_failures_total")
             raise
-        sp.set_tag("iterations", result.iterations)
-        rt.count("repro_pss_solves_total")
-        rt.count("repro_pss_iterations_total", result.iterations)
+        iterations = np.atleast_1d(result.iterations)
+        sp.set_tag("iterations", int(iterations.max()))
+        rt.count("repro_pss_solves_total", iterations.size)
+        rt.count("repro_pss_iterations_total", int(iterations.sum()))
         return result
-
-
-def _shooting_impl(circuit, period, *, steps_per_period, observe, x0,
-                   warmup_periods, max_iterations, tol, fd_delta, method,
-                   update_limit, ctx, solver) -> PssResult:
-    if period <= 0:
-        raise AnalysisError("period must be positive")
-    circuit.compile()
-    ctx = ctx or MnaContext(circuit, solver=solver)
-    observe_names = list(observe) if observe else _default_observe(circuit)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
-    dt = period / steps_per_period
-
-    def run_period(x_start: np.ndarray) -> TransientResult:
-        return transient(circuit, period, dt, x0=x_start, method=method,
-                         ctx=ctx)
-
-    # Starting state: operating point at t=0, then a short warmup so the
-    # fast nodes land on their periodic orbits.
-    x = operating_point(circuit, t=0.0, ctx=ctx).x.copy() if x0 is None \
-        else np.asarray(x0, dtype=float).copy()
-    for _ in range(max(warmup_periods, 0)):
-        x = run_period(x).final_x
-
-    iterations = 0
-    residual = np.inf
-    n_obs = len(obs_idx)
-    for iterations in range(1, max_iterations + 1):
-        base = run_period(x)
-        fx = base.final_x
-        r = fx[obs_idx] - x[obs_idx]
-        residual = float(np.max(np.abs(r)))
-        if residual < tol:
-            return PssResult(circuit, period, base, iterations, residual)
-        # Finite-difference Jacobian of the period map on observed nodes.
-        A = np.zeros((n_obs, n_obs))
-        for j in range(n_obs):
-            x_pert = x.copy()
-            x_pert[obs_idx[j]] += fd_delta
-            fx_pert = run_period(x_pert).final_x
-            A[:, j] = (fx_pert[obs_idx] - fx[obs_idx]) / fd_delta
-        # Solve (I - A) dx = r  (Newton on G(x) = F(x) - x = 0).
-        try:
-            dx_obs = np.linalg.solve(np.eye(n_obs) - A, r)
-        except np.linalg.LinAlgError:
-            dx_obs = r  # fall back to fixed-point iteration
-        if not np.all(np.isfinite(dx_obs)):
-            dx_obs = r
-        dx_obs = np.clip(dx_obs, -update_limit, update_limit)
-        # Carry the full end-state (fast nodes) and correct slow nodes.
-        x = fx.copy()
-        x[obs_idx] = base.X[0][obs_idx] + dx_obs
-
-    raise ConvergenceError(
-        f"shooting did not converge in {max_iterations} iterations "
-        f"(residual {residual:.3g} V)", analysis="pss")
 
 
 def settle_average(circuit: Circuit, period: float, node: str, *,

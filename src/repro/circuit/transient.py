@@ -1,20 +1,22 @@
 """Transient analysis with breakpoint-aware stepping.
 
-The engine integrates with trapezoidal companions by default, dropping to
-backward Euler for a couple of steps after every source breakpoint (the
-standard damping trick that suppresses trapezoidal ringing at corners).
-On Newton failure the step is halved and retried.
+The one integrator, :class:`BatchTransientSolver` in
+:mod:`repro.circuit.batch_transient`, uses trapezoidal companions by
+default, dropping to backward Euler for a couple of steps after every
+source breakpoint (the standard damping trick that suppresses
+trapezoidal ringing at corners).  On Newton failure the step is halved
+and retried.  :func:`transient` is a one-point run of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .. import telemetry
 from .dc import operating_point
-from .exceptions import AnalysisError, ConvergenceError
+from .exceptions import AnalysisError
 from .mna import MnaContext
 from .netlist import Circuit
 from .waveform import Waveform
@@ -73,6 +75,17 @@ class TransientResult:
         )
 
 
+def check_run_args(tstart: float, tstop: float, dt: float,
+                   method: str) -> None:
+    """Validate the time window, step and integration method."""
+    if tstop <= tstart:
+        raise AnalysisError(f"tstop ({tstop}) must exceed tstart ({tstart})")
+    if dt <= 0:
+        raise AnalysisError("dt must be positive")
+    if method not in ("trap", "be"):
+        raise AnalysisError(f"unknown integration method {method!r}")
+
+
 def transient(circuit: Circuit, tstop: float, dt: float, *,
               tstart: float = 0.0, method: str = "trap",
               ic: Optional[Mapping[str, float]] = None, uic: bool = False,
@@ -82,11 +95,15 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
               solver: str = "auto") -> TransientResult:
     """Integrate the circuit from ``tstart`` to ``tstop``.
 
+    A one-point run of the batched integrator
+    (:class:`~repro.circuit.batch_transient.BatchTransientSolver`).
+
     Parameters
     ----------
     dt:
         Nominal (maximum) step.  The engine always lands exactly on
-        source breakpoints and halves the step on Newton failures.
+        source breakpoints and halves the step on Newton failures, at
+        most ``max_retries`` times per step.
     ic:
         Node-voltage initial conditions.  With ``uic=True`` they are used
         verbatim (skipping the DC operating point); otherwise the DC
@@ -94,7 +111,10 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         overridden at the listed nodes.
     x0:
         Full initial solution vector (overrides the operating point, used
-        by the PSS engine for warm restarts).
+        for warm restarts).
+    ctx:
+        Context to solve the operating point with and to integrate
+        over (its static stamps are reused).
     solver:
         Linear-solve backend for the MNA systems ("auto"/"dense"/
         "sparse", see :mod:`repro.circuit.sparse`).  Ignored when an
@@ -118,15 +138,11 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
 
 def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
                     ctx, max_retries, solver) -> TransientResult:
-    if tstop <= tstart:
-        raise AnalysisError(f"tstop ({tstop}) must exceed tstart ({tstart})")
-    if dt <= 0:
-        raise AnalysisError("dt must be positive")
-    if method not in ("trap", "be"):
-        raise AnalysisError(f"unknown integration method {method!r}")
-    ctx = ctx or MnaContext(circuit, solver=solver)
+    # Imported here: the batch module builds on this one.
+    from .batch_transient import BatchTransientSolver
 
-    # -- initial state ----------------------------------------------------
+    check_run_args(tstart, tstop, dt, method)
+    ctx = ctx or MnaContext(circuit, solver=solver)
     if x0 is not None:
         x = np.asarray(x0, dtype=float).copy()
     elif uic:
@@ -138,52 +154,6 @@ def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
             idx = circuit.node_index(node)
             if idx >= 0:
                 x[idx] = float(v)
-    ctx.init_states(x)
-
-    breakpoints = ctx.breakpoints(tstart, tstop)
-    bp_iter: List[float] = [b for b in breakpoints if tstart < b < tstop]
-    bp_iter.append(tstop)
-    bp_pos = 0
-
-    times: List[float] = [tstart]
-    states: List[np.ndarray] = [x.copy()]
-    t_cur = tstart
-    be_countdown = BE_STEPS_AFTER_BREAKPOINT  # initial ramp is a corner too
-    eps = dt * 1e-9
-
-    while t_cur < tstop - eps:
-        while bp_pos < len(bp_iter) and bp_iter[bp_pos] <= t_cur + eps:
-            bp_pos += 1
-        next_bp = bp_iter[bp_pos] if bp_pos < len(bp_iter) else tstop
-        h = min(dt, next_bp - t_cur)
-        step_method = "be" if (method == "be" or be_countdown > 0) else "trap"
-
-        x_next = None
-        h_try = h
-        for _attempt in range(max_retries):
-            try:
-                x_next = ctx.solve_newton(
-                    x, t_cur + h_try, mode="tran", dt=h_try,
-                    method=step_method, analysis="transient")
-                break
-            except ConvergenceError:
-                h_try *= 0.5
-                step_method = "be"
-                if h_try < MIN_STEP:
-                    break
-        if x_next is None:
-            raise ConvergenceError(
-                "transient step failed even at minimum step size",
-                analysis="transient", time=t_cur)
-
-        t_cur += h_try
-        ctx.accept_step(x_next, h_try, step_method)
-        x = x_next
-        times.append(t_cur)
-        states.append(x.copy())
-        if abs(t_cur - next_bp) <= eps:
-            be_countdown = BE_STEPS_AFTER_BREAKPOINT
-        elif be_countdown > 0:
-            be_countdown -= 1
-
-    return TransientResult(circuit, np.asarray(times), np.vstack(states))
+    batch = BatchTransientSolver._from_contexts([ctx])
+    return batch.run(tstop, dt, tstart=tstart, method=method,
+                     x0=x[None, :], max_retries=max_retries).point(0)

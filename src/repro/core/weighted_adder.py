@@ -18,11 +18,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
+from ..circuit.batch_transient import shooting_jacobian_batched
 from ..circuit.elements.passives import Capacitor
 from ..circuit.elements.sources import PwmVoltage, Vdc, VProfile
 from ..circuit.exceptions import AnalysisError
 from ..circuit.netlist import Circuit
-from ..circuit.pss import PssResult, shooting
+from ..circuit.pss import PssResult
 from ..tech.mosfet_models import on_resistance
 from .behavioral import BehavioralAdder, CalibrationModel, eq2_output
 from .cells import CellDesign, and_cell_subckt
@@ -37,25 +38,15 @@ def adder_pss(circuit: Circuit, period: float, *,
               solver: str = "auto") -> PssResult:
     """Shooting PSS with the Jacobian probe runs batched.
 
-    The batched path stacks the base period run and the per-node
-    finite-difference probes of each shooting iteration into one
-    lock-step solve — bit-identical to scalar
-    :func:`~repro.circuit.pss.shooting` (pinned by the equivalence
-    tests).  Circuits the batch layer cannot model (inductors,
-    switches), and the rare batch where one probe's step halving drags
-    the stack into non-convergence, fall back to the scalar engine
-    transparently.
+    Stacks the base period run and the per-node finite-difference
+    probes of each shooting iteration into one lock-step solve (the
+    engine behind :func:`~repro.circuit.pss.shooting`).  Every circuit
+    the netlist layer builds is supported, and a probe whose step is
+    halved splits off alone, so no fallback path is needed.
     """
-    from ..circuit.batch_transient import shooting_jacobian_batched
-    from ..circuit.exceptions import ConvergenceError
-
-    try:
-        return shooting_jacobian_batched(
-            circuit, period, observe=observe,
-            steps_per_period=steps_per_period, solver=solver)
-    except (AnalysisError, ConvergenceError):
-        return shooting(circuit, period, observe=observe,
-                        steps_per_period=steps_per_period, solver=solver)
+    return shooting_jacobian_batched(
+        circuit, period, observe=observe,
+        steps_per_period=steps_per_period, solver=solver)
 
 #: Resolution used when computing the common period of multi-frequency
 #: inputs, seconds (1 fs).

@@ -1,12 +1,13 @@
 """Transistor-level engine: MNA shooting PSS of the full cell netlist.
 
-Single points run the classic scalar shooting solve (identical to the
-historical ``measure_cell`` path).  Supply sweeps and Monte-Carlo
-batches stack their independent points into one lock-step MNA solve via
+Single points run one-point shooting (the ``measure_cell`` path).
+Supply sweeps and Monte-Carlo batches stack their independent points
+into one lock-step MNA solve via
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` — the
 Python stepping machinery runs once for the whole grid instead of once
-per point, while every point's result stays bit-identical to its scalar
-solve (``benchmarks/BENCH_engines.json`` records the speedup).
+per point, while every point's result stays bit-identical to its
+one-point solve (``benchmarks/BENCH_engines.json`` records the
+speedup).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _bench(design: CellDesign, stimulus: CellStimulus, *,
         input_amplitude=vdd, rout=stimulus.rout)
 
 
-def _measure_scalar(payload: "tuple") -> float:
-    """One scalar PSS point (top-level: process-pool safe)."""
+def _measure_point(payload: "tuple") -> float:
+    """One one-point PSS (top-level: process-pool safe)."""
     design, stimulus, vdd, steps, solver = payload
     pss = shooting(_bench(design, stimulus, vdd=vdd),
                    1.0 / stimulus.frequency, observe=["out"],
@@ -71,8 +72,8 @@ class SpiceEngine(Engine):
                  steps_per_period: int = DEFAULT_STEPS,
                  solver: str = "auto",
                  **options: Any) -> float:
-        return _measure_scalar((design, stimulus, stimulus.vdd,
-                                steps_per_period, solver))
+        return _measure_point((design, stimulus, stimulus.vdd,
+                               steps_per_period, solver))
 
     def sweep_supply(self, design: CellDesign, stimulus: CellStimulus,
                      vdd_values: Sequence[float], *,
@@ -93,11 +94,11 @@ class SpiceEngine(Engine):
         if batched is None:
             batched = getattr(get_default_executor(), "jobs", 1) <= 1
         if not batched:
-            # Reference per-point loop (the historical path) on the
-            # session executor.
+            # Per-point loop of one-point shootings on the session
+            # executor.
             points = [(design, stimulus, float(v), steps_per_period,
                        solver) for v in vdds]
-            values = get_default_executor().map(_measure_scalar, points)
+            values = get_default_executor().map(_measure_point, points)
             return np.asarray([float(v) for v in values])
         circuits = [_bench(design, stimulus, vdd=float(v)) for v in vdds]
         pss = shooting_batch(circuits, 1.0 / stimulus.frequency,

@@ -14,9 +14,10 @@ All ramp profiles share their source timing (same ``t_ramp``, same PWM
 breakpoints), so engines with the ``batched_waveforms`` capability run
 the whole family as **one** lock-step
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` solve —
-the per-waveform trajectories are bit-identical to the scalar per-ramp
-loop (pinned by the sparse-MNA equivalence tests), the wall clock is
-one Python stepping loop instead of one per ramp.
+the per-waveform trajectories are bit-identical to a loop of one-point
+``transient`` runs, one per ramp (pinned by the sparse-MNA equivalence
+tests), and the wall clock is one Python stepping loop instead of one
+per ramp.
 
 The cell keeps Table I's 100 kΩ (Rout-dominance is what linearises the
 ratio) but uses a 0.1 pF capacitor, moving the averaging pole to
@@ -74,12 +75,12 @@ def _build(t_ramp: float, v_end: float = 1.25) -> Circuit:
 
 def _run_family(circuits: List[Circuit], t_ramp: float, dt: float, *,
                 batched: bool, solver: str) -> List[TransientResult]:
-    """One transient per ramp target — stacked or scalar.
+    """One transient per ramp target — stacked, or one run per ramp.
 
-    The batched path seeds every point with the scalar path's exact
+    The batched path seeds every point with the per-ramp runs' exact
     initial state (zeros + the ``out`` initial condition, the
     ``uic=True`` convention), so its per-point trajectories are
-    bit-identical to the scalar loop.
+    bit-identical to the per-ramp loop.
     """
     ic_out = 2.5 * (1 - DUTY)
     if not batched:

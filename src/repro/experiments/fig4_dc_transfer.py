@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..circuit.batch_transient import shooting_batch
 from ..circuit.measure import max_linearity_error, r_squared
 from ..circuit.pss import shooting
 from ..core.cells import NO_LOAD_ROUT, build_transcoding_inverter_bench
@@ -41,6 +42,24 @@ def measure_cell(duty: float, rout: float, *, vdd: float = TABLE1_SIZING.vdd,
     return pss.average("out")
 
 
+def measure_loads(duty: float, routs: Sequence[float], *,
+                  vdd: float = TABLE1_SIZING.vdd,
+                  frequency: float = 500e6, cout: float = 1e-12,
+                  steps_per_period: int = 120) -> "list[float]":
+    """:func:`measure_cell` at one duty for several loads, as one batch.
+
+    The benches share structure and source timing (only ``rout``
+    differs), so they stack into one :func:`shooting_batch`; every value
+    equals its own :func:`measure_cell` run.
+    """
+    circuits = [build_transcoding_inverter_bench(
+        duty, vdd=vdd, frequency=frequency, cout=cout, rout=rout)
+        for rout in routs]
+    pss = shooting_batch(circuits, 1.0 / frequency, observe=["out"],
+                         steps_per_period=steps_per_period)
+    return [float(v) for v in pss.averages("out")]
+
+
 @experiment(
     "fig4", title=TITLE, tags=("paper", "figure", "dc-transfer"),
     params=[
@@ -57,9 +76,11 @@ def run(fidelity: str = "fast",
 
     figure = FigureData(EXPERIMENT_ID, TITLE, "Duty cycle", "Vout (V)")
     metrics = {}
-    for label, rout in ROUT_CASES:
-        vout = [measure_cell(float(d), rout, steps_per_period=steps)
-                for d in duties]
+    # One batch per duty over the load cases: (duty, case) grid.
+    grid = [measure_loads(float(d), [rout for _, rout in ROUT_CASES],
+                          steps_per_period=steps) for d in duties]
+    for k, (label, _rout) in enumerate(ROUT_CASES):
+        vout = [row[k] for row in grid]
         figure.add_series(label, [100 * d for d in duties], vout)
         metrics[f"r2[{label}]"] = r_squared(duties, vout)
         metrics[f"max_lin_err[{label}]"] = max_linearity_error(duties, vout)

@@ -8,9 +8,10 @@ by default: circuit (shooting PSS + dense MNA transient), exec
 HTTP load generation against the asyncio server), and the SQLite
 store (indexed axis query).  Workload factories do all setup outside
 the timed region; the returned callables traverse the instrumented
-spans (``adder.evaluate`` → ``pss.shooting`` → ``mna.transient`` →
-``mna.newton``, …), which is what makes gate span-attribution
-meaningful.
+spans (``adder.evaluate`` → ``pss.shooting_jacobian`` →
+``mna.transient.batch`` → ``mna.newton``; ``mna.transient`` →
+``mna.transient.batch`` for the ladder), which is what makes gate
+span-attribution meaningful.
 
 Absolute-seconds benchmarks carry wide noise bands (100%) because the
 committed baseline is measured on a different machine than any given

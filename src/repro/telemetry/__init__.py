@@ -34,7 +34,7 @@ Enablement knobs (any one of):
 * ``telemetry.enable(trace_path=...)`` from Python.
 
 Instrumentation *observes only*: with telemetry enabled or disabled,
-golden artifacts and batched-vs-scalar bit-identity are unchanged
+golden artifacts and batched-vs-one-point bit-identity are unchanged
 (pinned by ``tests/test_telemetry.py``).
 """
 

@@ -275,16 +275,28 @@ class TestBatchTransient:
                 [cell_bench(2.5, duty=0.3),
                  cell_bench(2.5, duty=0.7)]).run(PERIOD, PERIOD / 50)
 
-    def test_inductor_rejected(self):
-        def make():
-            c = Circuit("rl")
-            c.add(Vdc("V1", "in", "0", 1.0))
-            c.add(Inductor("L1", "in", "out", "1u"))
-            c.add(Resistor("R1", "out", "0", "1k"))
+    def test_inductor_batch_matches_one_point_runs(self):
+        # Inductors batch through a per-point companion on their branch
+        # row; inductance and drive differ per point.
+        def make(inductance, v):
+            c = Circuit("rlc")
+            c.add(Vdc("V1", "in", "0", v))
+            c.add(Resistor("R1", "in", "mid", "50"))
+            c.add(Inductor("L1", "mid", "out", inductance))
+            c.add(Capacitor("C1", "out", "0", "1n"))
             return c
 
-        with pytest.raises(AnalysisError, match="inductors"):
-            BatchTransientSolver([make(), make()])
+        values = (("1u", 1.0), ("2u", 2.0), ("4u", 0.5))
+        singles = [transient(make(*lv), 2e-6, 1e-8, uic=True)
+                   for lv in values]
+        bat = BatchTransientSolver([make(*lv) for lv in values]).run(
+            2e-6, 1e-8, x0=np.zeros((3, singles[0].X.shape[1])))
+        assert np.array_equal(bat.t, singles[0].t)
+        for p, s in enumerate(singles):
+            assert np.array_equal(bat.X[:, p, :], s.X)
+        # The tank rings: the inductor current changes sign.
+        current = singles[0].branch_current("L1").y
+        assert current.max() > 0 > current.min()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(AnalysisError):

@@ -104,24 +104,25 @@ class TestShootingNonConvergence:
         assert excinfo.value.analysis == "pss"
 
     def test_max_iterations_bounds_the_period_runs(self, monkeypatch):
-        # Each iteration costs one base run plus one finite-difference
-        # run per observed node; max_iterations=2 with one observed
-        # node and no warmup is exactly 4 transient calls.
-        import repro.circuit.pss as pss_module
+        # Each iteration is one batched run: the base period plus one
+        # finite-difference probe per observed node.  max_iterations=2
+        # with one observed node and no warmup is exactly two runs of
+        # two points each.
+        from repro.circuit.batch_transient import BatchTransientSolver
 
-        calls = []
-        real = pss_module.transient
+        runs = []
+        real = BatchTransientSolver.run
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(self, *args, **kwargs):
+            runs.append(self.n_points)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(pss_module, "transient", counting)
+        monkeypatch.setattr(BatchTransientSolver, "run", counting)
         with pytest.raises(ConvergenceError):
             shooting(rc_pwm_circuit(0.5), period=1e-6,
                      steps_per_period=40, max_iterations=2, tol=0.0,
                      warmup_periods=0, observe=["out"])
-        assert len(calls) == 4
+        assert runs == [2, 2]
 
     def test_singular_period_map_falls_back_not_raises(self):
         # A duty-0 source makes the observed node an undriven RC to

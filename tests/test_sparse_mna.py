@@ -2,10 +2,11 @@
 
 Pins the two promises the solver knob makes:
 
-* **batched == scalar, bit for bit** — the supply-ramp waveform family,
-  the shooting Jacobian probes and the supply-sweep stacks reproduce the
-  per-point scalar loops exactly (block-diagonal stacked systems, same
-  iterates);
+* **batched == one-point, bit for bit** — the supply-ramp waveform
+  family, the shooting Jacobian probes and the supply-sweep stacks
+  reproduce loops of one-point runs exactly (block-diagonal stacked
+  systems, same iterates; the one-point runs themselves reproduce the
+  retired scalar engine, see ``tests/test_integrator.py``);
 * **sparse == dense, within a documented tolerance** — splu and LAPACK
   factorisations of the same MNA system agree to ``atol=1e-9`` (the
   measured gap on the 54-transistor adder is ~2e-12; the slack covers
@@ -174,7 +175,7 @@ class TestRandomTopologies:
         np.testing.assert_allclose(sparse.X, dense.X, atol=SPARSE_ATOL)
 
 
-# -- batched paths == scalar paths -------------------------------------------
+# -- batched paths == one-point runs -----------------------------------------
 
 
 class TestBatchedEquivalence:
@@ -188,25 +189,27 @@ class TestBatchedEquivalence:
         t_ramp = 16e-9          # a short ramp keeps the test cheap;
         dt = 2e-9 / 40          # the solver path is the full one
         circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
-        scalar = _run_family(circuits, t_ramp, dt, batched=False,
-                             solver="auto")
+        per_ramp = _run_family(circuits, t_ramp, dt, batched=False,
+                               solver="auto")
         circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
         batched = _run_family(circuits, t_ramp, dt, batched=True,
                               solver="auto")
-        assert len(scalar) == len(batched) == len(RAMP_TARGETS)
-        for s, b in zip(scalar, batched):
+        assert len(per_ramp) == len(batched) == len(RAMP_TARGETS)
+        for s, b in zip(per_ramp, batched):
             assert np.array_equal(s.t, b.t)
             assert np.array_equal(s.X, b.X)
 
     def test_jacobian_batched_shooting_bit_identical(self):
         # The 54-transistor adder: the Jacobian-batched PSS must
-        # reproduce the scalar shooting run exactly — same iterates,
-        # same waves, same averages.
+        # reproduce the probe-by-probe loop of one-point period runs (a
+        # one-point shooting_batch) exactly — same iterates, same
+        # waves, same averages.
         adder = WeightedAdder(AdderConfig())
         circuit = adder.build_circuit((0.2, 0.6, 0.8), (5, 6, 7))
         period = 1.0 / adder.config.frequency
-        ref = shooting(adder.build_circuit((0.2, 0.6, 0.8), (5, 6, 7)),
-                       period, observe=["out"], steps_per_period=40)
+        ref = shooting_batch(
+            [adder.build_circuit((0.2, 0.6, 0.8), (5, 6, 7))], period,
+            observe=["out"], steps_per_period=40).point(0)
         got = shooting_jacobian_batched(circuit, period, observe=["out"],
                                         steps_per_period=40)
         assert got.iterations == ref.iterations
